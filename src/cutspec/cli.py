@@ -10,14 +10,14 @@ the bytes produced.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import multiprocessing
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import dinkelbach, eigen, graph, nodal, oracles, spectrum
-from .errors import CutspecError
+from .errors import CutspecError, UsageError
 from .functionals import parse_rvector, ratio_objective
 from .graph import GENERATORS, Graph, emit_graph, parse_graph, parse_rational
 
@@ -31,9 +31,16 @@ ORACLE_FNS = {
 }
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_graph(args) -> Graph:
-    text = Path(args.graph).read_text() if args.graph != "-" else sys.stdin.read()
-    measure = Path(args.measure).read_text() if getattr(args, "measure", None) else None
+    text = _read(args.graph) if args.graph != "-" else sys.stdin.read()
+    measure = _read(args.measure) if getattr(args, "measure", None) else None
     return parse_graph(text, measure)
 
 
@@ -82,7 +89,7 @@ def cmd_cut(args):
     g = _load_graph(args)
     x0 = None
     if args.x0:
-        x0 = parse_rvector(g, Path(args.x0).read_text())
+        x0 = parse_rvector(g, _read(args.x0))
     inner = {"exact": "exact_enum", "flip": "local_flip"}[args.inner]
     trace = dinkelbach.solve(
         args.problem,
@@ -115,7 +122,7 @@ def cmd_cut(args):
 def cmd_verify(args):
     g = _load_graph(args)
     lam = parse_rational(args.lam)
-    x = parse_rvector(g, Path(args.vector).read_text())
+    x = parse_rvector(g, _read(args.vector))
     rep = eigen.verify(args.problem, g, lam, x, raw_one_lap=args.raw)
     payload = {
         "verdict": rep.verdict,
@@ -139,7 +146,7 @@ def _witness_payload(w: dict) -> dict:
 
 def cmd_nodal(args):
     g = _load_graph(args)
-    x = parse_rvector(g, Path(args.vector).read_text())
+    x = parse_rvector(g, _read(args.vector))
     rep = nodal.analyze(g, x, args.convention)
     payload = {
         "convention": rep.convention,
@@ -252,6 +259,8 @@ def _suite_one(path_str: str) -> str:
 def cmd_suite(args):
     files = sorted(str(p) for p in Path(args.dir).glob("*.txt"))
     if args.workers > 1:
+        import multiprocessing  # only the parallel path pays for the import
+
         with multiprocessing.Pool(args.workers) as pool:
             lines = pool.map(_suite_one, files)
     else:
@@ -339,14 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: argparse leaves a few hundred objects in
+    # reference cycles per parser built, which repeated in-process main()
+    # calls would pile up until a full garbage collection.  parse_args does
+    # not modify the parser.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CutspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -17,9 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Optional, Tuple
 
-from .errors import NotInOmega, TooLarge, UnknownProblem
+from .errors import DegenerateDenominator, NotInOmega, TooLarge, UnknownProblem
 from .eigen import verify
 from .functionals import (
     RVector,
@@ -30,7 +31,7 @@ from .functionals import (
     tv,
     tv_plus,
 )
-from .graph import Graph, vol
+from .graph import Graph, mask_members, mask_tables, vol
 from .oracles import CutCertificate
 
 ZERO = Fraction(0)
@@ -49,6 +50,10 @@ class RatioProblem:
     g2: Callable
     opt: str  # min | max
     domain_kind: str  # nonzero | nonconstant_2cut | nonconstant_3cut
+    # (F, G) = (f1 - f2, g1 - g2) at 1_A - 1_B from its integer terms
+    # (tv, tv_plus, median_distance, vol(A ∪ B), vol(V), 2|E|), each scaled
+    # by the mask kernel's D
+    ternary: Callable
 
 
 def _e_sup(g, x):
@@ -65,12 +70,17 @@ def _two_vol_sup(g, x):
 
 PROBLEMS = {
     "cheeger_tv": RatioProblem(
-        "cheeger_tv", tv, _zero, median_distance, _zero, "min", "nonconstant_2cut"
+        "cheeger_tv", tv, _zero, median_distance, _zero, "min", "nonconstant_2cut",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
     ),
     "cheeger_new": RatioProblem(
-        "cheeger_new", _e_sup, tv_plus, median_distance, _zero, "min", "nonconstant_2cut"
+        "cheeger_new", _e_sup, tv_plus, median_distance, _zero, "min", "nonconstant_2cut",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
     ),
-    "dual": RatioProblem("dual", tv_plus, _zero, l1_mu_norm, _zero, "min", "nonzero"),
+    "dual": RatioProblem(
+        "dual", tv_plus, _zero, l1_mu_norm, _zero, "min", "nonzero",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
+    ),
     "mdual": RatioProblem(
         "mdual",
         tv_plus,
@@ -79,12 +89,15 @@ PROBLEMS = {
         _zero,
         "min",
         "nonzero",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
     ),
     "maxcut_ratio": RatioProblem(
-        "maxcut_ratio", tv, _zero, _vol_sup, _zero, "max", "nonzero"
+        "maxcut_ratio", tv, _zero, _vol_sup, _zero, "max", "nonzero",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
     ),
     "anti": RatioProblem(
-        "anti", tv, _zero, _two_vol_sup, median_distance, "max", "nonzero"
+        "anti", tv, _zero, _two_vol_sup, median_distance, "max", "nonzero",
+        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
     ),
 }
 
@@ -156,12 +169,11 @@ def _candidate_pairs(g: Graph, domain_kind: str):
             if mask_b == 0:
                 break
             mask_b = (mask_b - 1) & rest
-    out.sort(
-        key=lambda ab: (
-            tuple(i for i in range(n) if ab[0] >> i & 1),
-            tuple(i for i in range(n) if ab[1] >> i & 1),
-        )
-    )
+    members = mask_members(n)
+    rank = [0] * (1 << n)
+    for i, m in enumerate(sorted(range(1 << n), key=members.__getitem__)):
+        rank[m] = i
+    out.sort(key=lambda ab: rank[ab[0]] << n | rank[ab[1]])
     return out
 
 
@@ -184,9 +196,37 @@ def _inner_objective(problem: RatioProblem, g, x, r) -> Fraction:
 
 
 def _q(problem: RatioProblem, g, x) -> Fraction:
-    return (problem.f1(g, x) - problem.f2(g, x)) / (
-        problem.g1(g, x) - problem.g2(g, x)
-    )
+    den = problem.g1(g, x) - problem.g2(g, x)
+    if den == 0:
+        raise DegenerateDenominator(
+            f"{problem.name} ratio has denominator 0 at x = "
+            + "(" + ", ".join(str(t) for t in x) + ")"
+        )
+    return (problem.f1(g, x) - problem.f2(g, x)) / den
+
+
+def _ternary_terms(problem: RatioProblem, g: Graph, pairs):
+    """Integers proportional to (F, G) = (f1 - f2, g1 - g2) at the candidate
+    x = (1_A - 1_B)/s, s = |A| + |B|, for every (A, B) in pairs, from the
+    mask kernel.  Both are scaled by the same D·L/s, with L = lcm(1..n), so
+    they share the positive factor 1/(D·L) across candidates.  Returns
+    (Fs, Gs, D·L)."""
+    d, cut, deg, volm = mask_tables(g)
+    full = (1 << g.n) - 1
+    vol_v, two_e = volm[full], deg[full]
+    big_l = lcm(*range(1, g.n + 1))
+    fs, gs = [], []
+    for a, b in pairs:
+        u = a | b
+        tv_ = cut[a] + cut[b]
+        tvp = deg[u] - tv_ + cut[u]
+        rest = vol_v - volm[u]
+        md = min(rest + 2 * volm[a], volm[a] + volm[b], 2 * volm[b] + rest)
+        f, h = problem.ternary(tv_, tvp, md, volm[u], vol_v, two_e)
+        m = big_l // u.bit_count()
+        fs.append(f * m)
+        gs.append(h * m)
+    return fs, gs, d * big_l
 
 
 def solve(
@@ -214,7 +254,8 @@ def solve(
         if g.n > cap:
             raise TooLarge(f"exact inner solver capped at n={cap}")
         pairs = _candidate_pairs(g, problem.domain_kind)
-        step = lambda r: _exact_step(problem, g, pairs, r)
+        fs, gs, scale = _ternary_terms(problem, g, pairs)
+        step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
     elif inner == "local_flip":
         rng = random.Random(seed)
         step = lambda r: _flip_step(problem, g, r, rng, restarts)
@@ -245,18 +286,13 @@ def solve(
     return trace
 
 
-def _exact_step(problem, g, pairs, r):
-    best = None
-    maximize = problem.opt == "max"
-    for mask_a, mask_b in pairs:
-        x = _pair_vector(g, mask_a, mask_b)
-        val = _inner_objective(problem, g, x, r)
-        if (
-            best is None
-            or (val > best[1] if maximize else val < best[1])
-        ):
-            best = ((mask_a, mask_b), val)
-    return best
+def _exact_step(pairs, fs, gs, scale, maximize, r):
+    """First optimum, in candidate order, of the inner objective
+    (F - r·G)(x) = (q·F_i - p·G_i)/(q·scale) for r = p/q."""
+    p, q = r.numerator, r.denominator
+    vals = [q * f - p * h for f, h in zip(fs, gs)]
+    best = max(vals) if maximize else min(vals)
+    return pairs[vals.index(best)], Fraction(best, q * scale)
 
 
 def _flip_step(problem, g, r, rng, restarts):

@@ -19,9 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Tuple
 
-from .errors import DegenerateDenominator, TooLarge, UnknownProblem, ZeroVector
+from .errors import (
+    DegenerateDenominator,
+    TooLarge,
+    UnknownProblem,
+    ZeroMeasure,
+    ZeroVector,
+)
 from .functionals import (
     RVector,
     indicator,
@@ -33,7 +40,7 @@ from .functionals import (
     tv,
     tv_plus,
 )
-from .graph import Graph, boundary, vol
+from .graph import Graph, mask_members, mask_tables, vol
 from .oracles import CutCertificate
 from .simplex import find_feasible
 
@@ -333,23 +340,29 @@ def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector
     return tuple(Fraction(_sign(t)) for t in x)
 
 
-def _scan_subset_family(g, value_fn, include_trivial):
-    seen = {}
+def _scan_subset_family(g, ratio, include_trivial):
+    """Distinct values of ratio(mask) = (num, den) over vertex subsets,
+    ascending, each with its smallest serialized subset.  Values are grouped
+    as reduced integer pairs; a Fraction is built once per distinct value."""
     n = g.n
-    for mask in range(1 << n):
-        a = frozenset(i for i in range(n) if mask >> i & 1)
-        if not include_trivial and (not a or len(a) == n):
+    full = (1 << n) - 1
+    members = mask_members(n)
+    seen = {}
+    for mask in sorted(range(1 << n), key=members.__getitem__):
+        if not include_trivial and (mask == 0 or mask == full):
             continue
-        val = value_fn(a)
-        key = tuple(sorted(a))
-        if val not in seen or key < seen[val]:
-            seen[val] = key
+        num, den = ratio(mask)
+        if den == 0:
+            raise ZeroMeasure("a ratio denominator is zero: some vertex set has measure zero")
+        c = gcd(num, den)
+        seen.setdefault((num // c, den // c), mask)
+    values = sorted((Fraction(num, den), mask) for (num, den), mask in seen.items())
     return [
         (
             val,
-            CutCertificate(kind="subset", sets=(frozenset(key),), value=val),
+            CutCertificate(kind="subset", sets=(frozenset(members[mask]),), value=val),
         )
-        for val, key in sorted(seen.items())
+        for val, mask in values
     ]
 
 
@@ -373,20 +386,27 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
     """Eigenvalues realized by indicator-type eigenvectors, ascending, with
     one witness each.  The sup-norm problems use closed-form constructors;
     the selection problems verify each ternary candidate exactly."""
-    volV = vol(g, range(g.n))
-    if id == "maxcut_inf":
+    if id in ("maxcut_inf", "cheeger_new", "anti_cheeger"):
         if g.n > cap:
             raise TooLarge(f"scan capped at n={cap}")
-        return _scan_subset_family(
-            g, lambda a: 2 * boundary(g, a) / volV, include_trivial=True
-        )
-    if id == "cheeger_new":
-        if g.n > cap:
-            raise TooLarge(f"scan capped at n={cap}")
+        _, cut, _, volm = mask_tables(g)
+        full = (1 << g.n) - 1
+        vol_v = volm[full]
+        if id == "maxcut_inf":
+            return _scan_subset_family(
+                g, lambda m: (2 * cut[m], vol_v), include_trivial=True
+            )
+        if id == "anti_cheeger":
+            return _scan_subset_family(
+                g,
+                lambda m: (
+                    (cut[m], max(volm[m], vol_v - volm[m])) if 0 < m < full else (0, 1)
+                ),
+                include_trivial=True,
+            )
         out = _scan_subset_family(
             g,
-            lambda a: boundary(g, a)
-            / min(vol(g, a), vol(g, g.vertices() - a)),
+            lambda m: (cut[m], min(volm[m], vol_v - volm[m])),
             include_trivial=False,
         )
         zero = (
@@ -396,18 +416,6 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         if not out or out[0][0] != 0:
             out.insert(0, zero)
         return out
-    if id == "anti_cheeger":
-        if g.n > cap:
-            raise TooLarge(f"scan capped at n={cap}")
-        return _scan_subset_family(
-            g,
-            lambda a: (
-                boundary(g, a) / max(vol(g, a), vol(g, g.vertices() - a))
-                if 0 < len(a) < g.n
-                else Fraction(0)
-            ),
-            include_trivial=True,
-        )
     if id in ("signless", "one_lap", "hat_signless"):
         if g.n > 9 or g.n > cap:
             raise TooLarge(f"ternary scan capped at n={min(cap, 9)}")

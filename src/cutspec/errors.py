@@ -5,6 +5,10 @@ class CutspecError(Exception):
     """Base class for all domain errors raised by cutspec."""
 
 
+class UsageError(CutspecError):
+    """Bad command-line input, such as an unreadable file; the CLI exits 2."""
+
+
 class ParseError(CutspecError):
     def __init__(self, message, line=None):
         if line is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import DegenerateDenominator, ParseError, ZeroMeasure
+from .errors import DegenerateDenominator, ParseError, UnknownProblem, ZeroMeasure
 from .graph import Graph, cut_weight, parse_rational
 
 RVector = tuple
@@ -163,7 +163,7 @@ def ratio_objective(problem_id: str, g: Graph, x: RVector) -> Fraction:
         if den == 0:
             raise DegenerateDenominator("zero vector for anti ratio")
         return tv(g, x) / den
-    raise DegenerateDenominator(f"unknown problem id {problem_id!r}")
+    raise UnknownProblem(f"unknown problem id {problem_id!r}")
 
 
 def parse_rvector(g: Graph, text: str) -> RVector:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -156,6 +157,50 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(connected_components(g)) == 1
 
 
+# -- bitmask kernel ---------------------------------------------------------
+
+def mask_tables(g: Graph):
+    """Integer cut, degree and volume of every vertex bitmask.
+
+    Weights and measures are scaled by D, the least common multiple of their
+    denominators, so for the vertex set S of mask m: cut[m] = D·|∂S|,
+    deg[m] = D·(sum of weighted degrees over S) and vol[m] = D·mu(S), all
+    exact ints.  Each entry extends the entry without its lowest vertex.
+    Returns (D, cut, deg, vol).
+    """
+    d = lcm(*(w.denominator for _, _, w in g.edges), *(m.denominator for m in g.mu))
+    nbrs = [[] for _ in range(g.n)]
+    deg1 = [0] * g.n
+    for u, v, w in g.edges:
+        wi = w.numerator * (d // w.denominator)
+        nbrs[u].append((1 << v, wi))
+        nbrs[v].append((1 << u, wi))
+        deg1[u] += wi
+        deg1[v] += wi
+    mu1 = [m.numerator * (d // m.denominator) for m in g.mu]
+    size = 1 << g.n
+    cut, deg, vol = [0] * size, [0] * size, [0] * size
+    for m in range(1, size):
+        low = m & -m
+        i = low.bit_length() - 1
+        prev = m ^ low
+        inner = sum(wi for bit, wi in nbrs[i] if prev & bit)
+        cut[m] = cut[prev] + deg1[i] - 2 * inner
+        deg[m] = deg[prev] + deg1[i]
+        vol[m] = vol[prev] + mu1[i]
+    return d, cut, deg, vol
+
+
+def mask_members(n: int) -> list:
+    """Sorted vertex tuple of every bitmask over n vertices.  Comparing
+    these tuples is the serialized order that breaks certificate ties."""
+    members = [()] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        members[m] = (low.bit_length() - 1,) + members[m ^ low]
+    return members
+
+
 # -- small graph parameters -------------------------------------------------
 
 def independence_number(g: Graph, cap: int = 24):
@@ -264,19 +309,28 @@ def edge_cover_number(g: Graph, cap: int = 24) -> int:
 
 # -- generators -------------------------------------------------------------
 
+def _need(name: str, k: int, least: int):
+    if k < least:
+        raise BadK(f"{name} needs k >= {least}, got {k}")
+
+
 def path(k: int) -> Graph:
+    _need("path", k, 1)
     return Graph.build(k, [(i, i + 1) for i in range(k - 1)])
 
 
 def cycle(k: int) -> Graph:
+    _need("cycle", k, 3)
     return Graph.build(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def complete(k: int) -> Graph:
+    _need("complete", k, 1)
     return Graph.build(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def star(k: int) -> Graph:
+    _need("star", k, 1)
     return Graph.build(k, [(0, i) for i in range(1, k)])
 
 

@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .errors import BadK, Disconnected, TooLarge, UnknownProblem
-from .graph import Graph, cut_weight, is_connected, vol
+from .errors import BadK, Disconnected, TooLarge, UnknownProblem, ZeroMeasure
+from .graph import Graph, is_connected, mask_members, mask_tables
 
 DEFAULT_SUBSET_CAP = 20
 DEFAULT_PAIR_CAP = 14
@@ -43,10 +43,6 @@ class CutCertificate:
         )
 
 
-def _mask_set(mask: int, n: int):
-    return frozenset(i for i in range(n) if mask >> i & 1)
-
-
 def _best(kind, candidates, maximize):
     """candidates: iterable of (value, sets tuple); deterministic tie-break."""
     best = None
@@ -63,19 +59,50 @@ def _best(kind, candidates, maximize):
     return CutCertificate(kind=kind, sets=best[1], value=best[0])
 
 
-def _bipartition_candidates(g: Graph, nontrivial: bool):
-    """Yield (S, Sc, boundary weight) with vertex 0 in S."""
-    n = g.n
-    edge_masks = [(1 << u | 1 << v, w) for u, v, w in g.edges]
-    for mask in range(1 << (n - 1)):
-        smask = (mask << 1) | 1  # vertex 0 always in S
-        if nontrivial and smask == (1 << n) - 1:
+def _best_ratio(candidates, maximize, key):
+    """Optimum of num/den over candidates (num, den, item), compared by
+    integer cross-multiplication; ties go to the item of smallest key(item),
+    which is computed only when a tie occurs.  Returns (num, den, item)."""
+    best = None  # [num, den, item, key or None]
+    for num, den, item in candidates:
+        if den == 0:
+            raise ZeroMeasure("a ratio denominator is zero: some vertex set has measure zero")
+        if best is None:
+            best = [num, den, item, None]
             continue
-        cut = sum(
-            (w for em, w in edge_masks if (em & smask) and (em & ~smask)),
-            Fraction(0),
-        )
-        yield _mask_set(smask, n), _mask_set(~smask & ((1 << n) - 1), n), cut
+        diff = num * best[1] - best[0] * den
+        if diff == 0:
+            if best[3] is None:
+                best[3] = key(best[2])
+            k = key(item)
+            if k < best[3]:
+                best = [num, den, item, k]
+        elif (diff > 0) == maximize:
+            best = [num, den, item, None]
+    return best[0], best[1], best[2]
+
+
+def _subset_oracle(g: Graph, ratio, maximize: bool) -> CutCertificate:
+    """Optimum of ratio(cut(S), vol(S), vol(V - S)) = (num, den) over the
+    bipartitions {S, V - S} with vertex 0 in S and S != V."""
+    _, cut, _, volm = mask_tables(g)
+    full = (1 << g.n) - 1
+    vol_v = volm[full]
+    num, den, s = _best_ratio(
+        (
+            (*ratio(cut[s], volm[s], vol_v - volm[s]), s)
+            for s in range(1, full, 2)
+        ),
+        maximize,
+        key=lambda s: _members(s, g.n),
+    )
+    return CutCertificate(
+        kind="subset", sets=(frozenset(_members(s, g.n)),), value=Fraction(num, den)
+    )
+
+
+def _members(mask: int, n: int) -> tuple:
+    return tuple(i for i in range(n) if mask >> i & 1)
 
 
 def cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -85,12 +112,7 @@ def cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"cheeger oracle capped at n={cap}")
-
-    def gen():
-        for s, sc, cut in _bipartition_candidates(g, nontrivial=True):
-            yield cut / min(vol(g, s), vol(g, sc)), (s,)
-
-    return _best("subset", gen(), maximize=False)
+    return _subset_oracle(g, lambda c, va, vc: (c, min(va, vc)), maximize=False)
 
 
 def maxcut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -98,13 +120,7 @@ def maxcut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"maxcut oracle capped at n={cap}")
-    volV = vol(g, range(g.n))
-
-    def gen():
-        for s, sc, cut in _bipartition_candidates(g, nontrivial=True):
-            yield 2 * cut / volV, (s,)
-
-    return _best("subset", gen(), maximize=True)
+    return _subset_oracle(g, lambda c, va, vc: (2 * c, va + vc), maximize=True)
 
 
 def mincut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -112,13 +128,7 @@ def mincut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"mincut oracle capped at n={cap}")
-    volV = vol(g, range(g.n))
-
-    def gen():
-        for s, sc, cut in _bipartition_candidates(g, nontrivial=True):
-            yield 2 * cut / volV, (s,)
-
-    return _best("subset", gen(), maximize=False)
+    return _subset_oracle(g, lambda c, va, vc: (2 * c, va + vc), maximize=False)
 
 
 def anti_cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -126,73 +136,58 @@ def anti_cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"anti-Cheeger oracle capped at n={cap}")
-
-    def gen():
-        for s, sc, cut in _bipartition_candidates(g, nontrivial=True):
-            yield cut / max(vol(g, s), vol(g, sc)), (s,)
-
-    return _best("subset", gen(), maximize=True)
+    return _subset_oracle(g, lambda c, va, vc: (c, max(va, vc)), maximize=True)
 
 
-def _mask_vol(g: Graph):
-    """vol lookup for every vertex bitmask, built by peeling the low bit."""
-    table = [Fraction(0)] * (1 << g.n)
-    for m in range(1, 1 << g.n):
-        low = (m & -m).bit_length() - 1
-        table[m] = table[m & (m - 1)] + g.mu[low]
-    return table
+def _splits(u: int):
+    """Every A with lowest(U) in A and A a subset of U, paired with U - A."""
+    low = u & -u
+    rest = u ^ low
+    sub = rest
+    while True:
+        yield low | sub, rest ^ sub
+        if sub == 0:
+            break
+        sub = (sub - 1) & rest
 
 
-def _mask_pairs(n: int):
-    """Disjoint bitmask pairs (a, b) with nonempty union and the union's
-    lowest vertex in a (swap symmetry removed)."""
-    full = (1 << n) - 1
-    for mask_a in range(1 << n):
-        rest = ~mask_a & full
-        mask_b = rest
-        while True:
-            union = mask_a | mask_b
-            if union and (union & -union) & mask_a:
-                yield mask_a, mask_b
-            if mask_b == 0:
-                break
-            mask_b = (mask_b - 1) & rest
+def _split_max(n: int, cut: list) -> list:
+    """For every mask U, the largest cut(A) + cut(U - A) over A within U:
+    that is 2·w(A, U - A) + cut(U) for the best split."""
+    out = [0] * (1 << n)
+    for u in range(1, 1 << n):
+        out[u] = max(cut[a] + cut[b] for a, b in _splits(u))
+    return out
 
 
 def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
+    """max over disjoint (A, B), A ∪ B = U nonempty, of
+    (2·w(A, B) + bnd) / (vol(U) + bnd), where bnd = cut(U) when modified
+    and 0 otherwise.  With 2·w(A, B) = cut(A) + cut(B) - cut(U), every U
+    is decided by its best split."""
     if g.n > cap:
         raise TooLarge(f"pair oracle capped at n={cap}")
-    volm = _mask_vol(g)
-    edges = [(1 << u, 1 << v, w) for u, v, w in g.edges]
-    def key_of(mask_a, mask_b):
-        return (
-            tuple(i for i in range(g.n) if mask_a >> i & 1),
-            tuple(i for i in range(g.n) if mask_b >> i & 1),
+    _, cut, _, volm = mask_tables(g)
+    best_split = _split_max(g.n, cut)
+
+    def ratio(u):
+        if modified:
+            return best_split[u], volm[u] + cut[u]
+        return best_split[u] - cut[u], volm[u]
+
+    def key(u):  # smallest serialized (A, B) among U's best splits
+        return min(
+            (_members(a, g.n), _members(b, g.n))
+            for a, b in _splits(u)
+            if cut[a] + cut[b] == best_split[u]
         )
 
-    best = None  # (value, mask_a, mask_b, key)
-    for mask_a, mask_b in _mask_pairs(g.n):
-        union = mask_a | mask_b
-        cross = Fraction(0)
-        bnd = Fraction(0)
-        for bu, bv, w in edges:
-            in_a = bool(bu & mask_a) + bool(bv & mask_a)
-            in_b = bool(bu & mask_b) + bool(bv & mask_b)
-            if in_a == 1 and in_b == 1:
-                cross += w
-            elif modified and in_a + in_b == 1:
-                bnd += w
-        value = (2 * cross + bnd) / (volm[union] + bnd)
-        if best is None or value > best[0]:
-            best = (value, mask_a, mask_b, key_of(mask_a, mask_b))
-        elif value == best[0]:
-            key = key_of(mask_a, mask_b)
-            if key < best[3]:
-                best = (value, mask_a, mask_b, key)
+    num, den, u = _best_ratio(
+        ((*ratio(u), u) for u in range(1, 1 << g.n)), maximize=True, key=key
+    )
+    a, b = key(u)
     return CutCertificate(
-        kind="set_pair",
-        sets=(frozenset(best[3][0]), frozenset(best[3][1])),
-        value=best[0],
+        kind="set_pair", sets=(frozenset(a), frozenset(b)), value=Fraction(num, den)
     )
 
 
@@ -207,52 +202,76 @@ def modified_dual_cheeger(g: Graph, cap: int = DEFAULT_PAIR_CAP) -> CutCertifica
 def k_way_dual_cheeger(
     g: Graph, k: int, work_cap: int = DEFAULT_WORK_CAP
 ) -> CutCertificate:
-    """h+_k: max over k disjoint set pairs of the worst per-pair ratio."""
+    """h+_k: max over k disjoint set pairs of the worst per-pair ratio
+    2·w(A_j, B_j) / vol(A_j ∪ B_j).
+
+    A pair's ratio with union U is at most r(U), that of U's best split.
+    best[m][F] is the largest worst r over m disjoint nonempty unions inside
+    F, so the optimum is best[k][V].  The certificate is then built pair by
+    pair: each takes the smallest serialized (A_j, B_j) whose ratio reaches
+    the optimum and whose remaining vertices still hold the other pairs.
+    """
     if k < 1 or k > g.n:
         raise BadK(f"k={k} outside [1, n]")
     states = 2 * k + 1
     if states**g.n > work_cap:
         raise TooLarge(f"(2k+1)^n = {states ** g.n} exceeds work cap {work_cap}")
-    volm = _mask_vol(g)
-    edges = [(1 << u, 1 << v, w) for u, v, w in g.edges]
+    n = g.n
+    _, cut, _, volm = mask_tables(g)
+    if not all(volm[1 << i] for i in range(n)):
+        raise ZeroMeasure("a vertex of measure zero makes a set-pair ratio 0/0")
+    size = 1 << n
+    full = size - 1
+    split = _split_max(n, cut)
+    r_num = [split[u] - cut[u] for u in range(size)]  # r(U) = r_num / vol
 
-    def key_of(masks):
-        return tuple(
-            tuple(i for i in range(g.n) if m >> i & 1) for m in masks
-        )
+    # best[m][F] = (num, den) or None when F holds fewer than m pairs
+    best = [None]
+    for m in range(1, k + 1):
+        below, cur = best[-1], [None] * size
+        for f in range(1, size):
+            low = f & -f
+            top = cur[f ^ low]  # F's lowest vertex left unused
+            for u, rest in _splits(f):  # or in the union U
+                val = (r_num[u], volm[u])
+                if below is not None:
+                    other = below[rest]
+                    if other is None:
+                        continue
+                    if other[0] * val[1] < val[0] * other[1]:
+                        val = other
+                if top is None or val[0] * top[1] > top[0] * val[1]:
+                    top = val
+            cur[f] = top
+        best.append(cur)
+    v_num, v_den = best[k][full]
 
-    best = None  # (value, masks, key)
-    for assign in product(range(states), repeat=g.n):
-        masks = [0] * (2 * k)
-        for i, s in enumerate(assign):
-            if s:
-                masks[s - 1] |= 1 << i
-        if any(not (masks[2 * j] | masks[2 * j + 1]) for j in range(k)):
-            continue
-        value = None
-        for j in range(k):
-            ma, mb = masks[2 * j], masks[2 * j + 1]
-            cross = Fraction(0)
-            for bu, bv, w in edges:
-                if (bool(bu & ma) + bool(bv & ma) == 1) and (
-                    bool(bu & mb) + bool(bv & mb) == 1
-                ):
-                    cross += w
-            ratio = 2 * cross / volm[ma | mb]
-            if value is None or ratio < value:
-                value = ratio
-        if best is None or value > best[0]:
-            best = (value, masks, key_of(masks))
-        elif value == best[0]:
-            key = key_of(masks)
-            if key < best[2]:
-                best = (value, masks, key)
-    if best is None:
-        raise BadK(f"no feasible {k}-way pair system")
+    members = mask_members(n)
+    sets = []
+    free = full
+    for left in range(k - 1, -1, -1):  # pairs still to place after this one
+        choice = None  # (serialized (A, B), A ∪ B)
+        sub = free
+        while sub:
+            u, sub = sub, (sub - 1) & free
+            if r_num[u] * v_den < v_num * volm[u]:
+                continue
+            if left:
+                other = best[left][free ^ u]
+                if other is None or other[0] * v_den < v_num * other[1]:
+                    continue
+            for a, b in _splits(u):
+                if (cut[a] + cut[b] - cut[u]) * v_den < v_num * volm[u]:
+                    continue
+                for key in ((members[a], members[b]), (members[b], members[a])):
+                    if choice is None or key < choice[0]:
+                        choice = (key, u)
+        sets.extend(choice[0])
+        free ^= choice[1]
     return CutCertificate(
         kind="subpartition",
-        sets=tuple(frozenset(t) for t in best[2]),
-        value=best[0],
+        sets=tuple(frozenset(t) for t in sets),
+        value=Fraction(v_num, v_den),
     )
 
 

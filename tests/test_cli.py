@@ -1,7 +1,10 @@
+import gc
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from cutspec import cli
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -107,6 +110,56 @@ def test_scan_output():
 def test_usage_error_exit_2():
     res = run(["oracle"])  # missing --graph
     assert res.returncode == 2
+
+
+def test_missing_file_usage_error_exit_2(tmp_path, capsys):
+    graph = str(CORPUS / "path4.txt")
+    missing = str(tmp_path / "missing.txt")
+    for argv in (
+        ["oracle", "cheeger", "--graph", missing],
+        ["oracle", "cheeger", "--graph", graph, "--measure", missing],
+        ["verify", "one_lap", "--graph", graph, "--lambda", "1", "--vector", missing],
+        ["cut", "dual", "--graph", graph, "--x0", missing],
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.txt" in err
+
+
+def test_zero_denominators_exit_1(tmp_path, capsys):
+    edgeless = tmp_path / "edgeless.txt"
+    edgeless.write_text("n 2\n")
+    path3 = tmp_path / "path3.txt"
+    path3.write_text("0 1\n1 2\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("0 0\n")
+    zero_mu = ["--graph", str(path3), "--measure", str(measure)]
+    for argv in (
+        ["oracle", "maxcut", "--graph", str(edgeless)],
+        ["oracle", "mincut", "--graph", str(edgeless)],
+        ["oracle", "dual_cheeger", "--graph", str(edgeless)],
+        ["cut", "dual", "--graph", str(edgeless)],
+        ["oracle", "dual_cheeger", *zero_mu],
+        ["oracle", "k_way_dual_cheeger", *zero_mu],
+        ["cut", "dual", *zero_mu],
+    ):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_gen_bad_k_exit_1(capsys):
+    for argv in (["gen", "cycle", "2"], ["gen", "path", "0"], ["gen", "star", "0"]):
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+
+
+def test_repeated_main_leaves_no_cyclic_garbage(capsys):
+    cli.main(["gen", "path", "3"])
+    gc.collect()
+    cli.main(["gen", "path", "3"])
+    assert gc.collect() == 0
+    assert capsys.readouterr().out.count("n 3") == 2
 
 
 def test_domain_error_exit_1(tmp_path):

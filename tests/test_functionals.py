@@ -5,7 +5,7 @@ import pytest
 
 from cutspec import functionals as fn
 from cutspec import graph as gr
-from cutspec.errors import DegenerateDenominator
+from cutspec.errors import DegenerateDenominator, UnknownProblem
 
 
 def vec(g, vals):
@@ -162,6 +162,12 @@ def test_ratio_objective_degenerate():
         fn.ratio_objective("cheeger_tv", p4, vec(p4, [2, 2, 2, 2]))
     with pytest.raises(DegenerateDenominator):
         fn.ratio_objective("dual", p4, vec(p4, [0, 0, 0, 0]))
+
+
+def test_ratio_objective_unknown_id():
+    p4 = gr.path(4)
+    with pytest.raises(UnknownProblem):
+        fn.ratio_objective("no_such_ratio", p4, vec(p4, [1, 0, 0, 0]))
 
 
 def test_rvector_file_roundtrip():

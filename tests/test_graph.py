@@ -5,6 +5,7 @@ import pytest
 
 from cutspec import graph as gr
 from cutspec.errors import (
+    BadK,
     IsolatedVertex,
     NegativeWeight,
     OverlappingSets,
@@ -147,3 +148,10 @@ def test_handshake_on_random_graphs():
         # mu = degree: cut plus twice the internal weight is the volume
         assert gr.cut_weight(g, s, sc) + 2 * gr.intra_weight(g, s) == gr.vol(g, s)
         assert gr.vol(g, s) + gr.vol(g, sc) == gr.vol(g, g.vertices())
+
+
+def test_generators_reject_small_k():
+    for make, least in ((gr.path, 1), (gr.cycle, 3), (gr.complete, 1), (gr.star, 1)):
+        with pytest.raises(BadK):
+            make(least - 1)
+        assert make(least).n == least
