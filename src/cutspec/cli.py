@@ -44,6 +44,17 @@ def _load_graph(args) -> Graph:
     return parse_graph(text, measure)
 
 
+def _load_degree_measured_graph(args) -> Graph:
+    """The graph of a spectral command, whose operator is the normalized
+    Laplacian and whose theorems hold for mu = weighted degree only."""
+    g = _load_graph(args)
+    if any(g.mu[i] != g.degree(i) for i in range(g.n)):
+        raise UsageError(
+            f"{args.command} needs the degree measure: --measure differs from the weighted degree"
+        )
+    return g
+
+
 def _emit(payload, args):
     out = json.dumps(payload, sort_keys=True)
     if not getattr(args, "quiet", False):
@@ -166,7 +177,7 @@ def cmd_nodal(args):
 
 
 def cmd_spectrum(args):
-    g = _load_graph(args)
+    g = _load_degree_measured_graph(args)
     sp = spectrum.normalized_laplacian_spectrum(g, want_vectors=False)
     _emit(
         {
@@ -179,7 +190,7 @@ def cmd_spectrum(args):
 
 
 def cmd_check(args):
-    g = _load_graph(args)
+    g = _load_degree_measured_graph(args)
     reports = []
     if args.suite in ("all", "cheeger", "dual", "forest"):
         for rep in spectrum.inequality_suite(g):

@@ -23,6 +23,7 @@ from typing import Callable, List, Optional, Tuple
 from .errors import DegenerateDenominator, NotInOmega, TooLarge, UnknownProblem
 from .eigen import verify
 from .functionals import (
+    TERNARY_RATIO,
     RVector,
     l1_mu_norm,
     median_distance,
@@ -31,7 +32,7 @@ from .functionals import (
     tv,
     tv_plus,
 )
-from .graph import Graph, mask_members, mask_tables, vol
+from .graph import Graph, mask_tables, ternary_pairs, ternary_ratios, vol
 from .oracles import CutCertificate
 
 ZERO = Fraction(0)
@@ -50,10 +51,6 @@ class RatioProblem:
     g2: Callable
     opt: str  # min | max
     domain_kind: str  # nonzero | nonconstant_2cut | nonconstant_3cut
-    # (F, G) = (f1 - f2, g1 - g2) at 1_A - 1_B from its integer terms
-    # (tv, tv_plus, median_distance, vol(A ∪ B), vol(V), 2|E|), each scaled
-    # by the mask kernel's D
-    ternary: Callable
 
 
 def _e_sup(g, x):
@@ -70,17 +67,12 @@ def _two_vol_sup(g, x):
 
 PROBLEMS = {
     "cheeger_tv": RatioProblem(
-        "cheeger_tv", tv, _zero, median_distance, _zero, "min", "nonconstant_2cut",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
+        "cheeger_tv", tv, _zero, median_distance, _zero, "min", "nonconstant_2cut"
     ),
     "cheeger_new": RatioProblem(
-        "cheeger_new", _e_sup, tv_plus, median_distance, _zero, "min", "nonconstant_2cut",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
+        "cheeger_new", _e_sup, tv_plus, median_distance, _zero, "min", "nonconstant_2cut"
     ),
-    "dual": RatioProblem(
-        "dual", tv_plus, _zero, l1_mu_norm, _zero, "min", "nonzero",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
-    ),
+    "dual": RatioProblem("dual", tv_plus, _zero, l1_mu_norm, _zero, "min", "nonzero"),
     "mdual": RatioProblem(
         "mdual",
         tv_plus,
@@ -89,15 +81,12 @@ PROBLEMS = {
         _zero,
         "min",
         "nonzero",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
     ),
     "maxcut_ratio": RatioProblem(
-        "maxcut_ratio", tv, _zero, _vol_sup, _zero, "max", "nonzero",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
+        "maxcut_ratio", tv, _zero, _vol_sup, _zero, "max", "nonzero"
     ),
     "anti": RatioProblem(
-        "anti", tv, _zero, _two_vol_sup, median_distance, "max", "nonzero",
-        lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
+        "anti", tv, _zero, _two_vol_sup, median_distance, "max", "nonzero"
     ),
 }
 
@@ -142,41 +131,6 @@ def project(problem: RatioProblem, x: RVector) -> RVector:
     return tuple(t / norm for t in x)
 
 
-def _candidate_pairs(g: Graph, domain_kind: str):
-    """Ternary supports (A, B) whose scaled indicator lies in Omega,
-    in ascending lexicographic order of the serialized pair."""
-    n = g.n
-    full = (1 << n) - 1
-    out = []
-    for mask_a in range(1 << n):
-        rest = ~mask_a & full
-        mask_b = rest
-        while True:
-            a_empty = mask_a == 0
-            b_empty = mask_b == 0
-            keep = False
-            if not (a_empty and b_empty):
-                if domain_kind == "nonzero":
-                    keep = True
-                elif domain_kind == "nonconstant_2cut":
-                    keep = not a_empty and not b_empty
-                else:  # nonconstant_3cut
-                    keep = (not a_empty and not b_empty) or (
-                        (mask_a | mask_b) != full
-                    )
-            if keep:
-                out.append((mask_a, mask_b))
-            if mask_b == 0:
-                break
-            mask_b = (mask_b - 1) & rest
-    members = mask_members(n)
-    rank = [0] * (1 << n)
-    for i, m in enumerate(sorted(range(1 << n), key=members.__getitem__)):
-        rank[m] = i
-    out.sort(key=lambda ab: rank[ab[0]] << n | rank[ab[1]])
-    return out
-
-
 def _pair_vector(g: Graph, mask_a: int, mask_b: int) -> RVector:
     size = bin(mask_a).count("1") + bin(mask_b).count("1")
     s = Fraction(1, size)
@@ -211,22 +165,15 @@ def _ternary_terms(problem: RatioProblem, g: Graph, pairs):
     mask kernel.  Both are scaled by the same D·L/s, with L = lcm(1..n), so
     they share the positive factor 1/(D·L) across candidates.  Returns
     (Fs, Gs, D·L)."""
-    d, cut, deg, volm = mask_tables(g)
-    full = (1 << g.n) - 1
-    vol_v, two_e = volm[full], deg[full]
+    tables = mask_tables(g)
     big_l = lcm(*range(1, g.n + 1))
     fs, gs = [], []
-    for a, b in pairs:
-        u = a | b
-        tv_ = cut[a] + cut[b]
-        tvp = deg[u] - tv_ + cut[u]
-        rest = vol_v - volm[u]
-        md = min(rest + 2 * volm[a], volm[a] + volm[b], 2 * volm[b] + rest)
-        f, h = problem.ternary(tv_, tvp, md, volm[u], vol_v, two_e)
-        m = big_l // u.bit_count()
+    terms = ternary_ratios(tables, pairs, TERNARY_RATIO[problem.name])
+    for (a, b), (f, h) in zip(pairs, terms):
+        m = big_l // (a | b).bit_count()
         fs.append(f * m)
         gs.append(h * m)
-    return fs, gs, d * big_l
+    return fs, gs, tables[0] * big_l
 
 
 def solve(
@@ -253,7 +200,7 @@ def solve(
     if inner == "exact_enum":
         if g.n > cap:
             raise TooLarge(f"exact inner solver capped at n={cap}")
-        pairs = _candidate_pairs(g, problem.domain_kind)
+        pairs = ternary_pairs(g.n, problem.domain_kind)
         fs, gs, scale = _ternary_terms(problem, g, pairs)
         step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
     elif inner == "local_flip":

@@ -23,24 +23,20 @@ from math import gcd
 from typing import List, Optional, Tuple
 
 from .errors import (
-    DegenerateDenominator,
     TooLarge,
     UnknownProblem,
     ZeroMeasure,
     ZeroVector,
 )
 from .functionals import (
+    TERNARY_RATIO,
     RVector,
     indicator,
-    l1_mu_norm,
     median_candidates,
-    median_distance,
     ratio_objective,
     sup_norm,
-    tv,
-    tv_plus,
 )
-from .graph import Graph, mask_members, mask_tables, vol
+from .graph import Graph, mask_members, mask_tables, ternary_pairs, ternary_ratios, vol
 from .oracles import CutCertificate
 from .simplex import find_feasible
 
@@ -106,14 +102,14 @@ def _sign(t: Fraction) -> int:
     return (t > 0) - (t < 0)
 
 
-def _add_diff_selection(sys_: _System, g: Graph, x: RVector, row_coeffs):
+def _add_diff_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, tag="z"):
     """Antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u, -w z to row v."""
     for u, v, w in g.edges:
         s = _sign(x[u] - x[v])
         idx = (
-            sys_.fixed(f"z[{u},{v}]", Fraction(s))
+            sys_.fixed(f"{tag}[{u},{v}]", Fraction(s))
             if s
-            else sys_.var(f"z[{u},{v}]", -ONE, ONE)
+            else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
         )
         row_coeffs[u][idx] = row_coeffs[u].get(idx, ZERO) + w
         row_coeffs[v][idx] = row_coeffs[v].get(idx, ZERO) - w
@@ -228,7 +224,7 @@ def _verify_hat_signless(g, lam, x):
     rows_sym = [dict() for _ in range(g.n)]
     rows_diff = [dict() for _ in range(g.n)]
     _add_sym_selection(sys_, g, x, rows_sym, tag="zs")
-    _add_diff_selection_tagged(sys_, g, x, rows_diff)
+    _add_diff_selection(sys_, g, x, rows_diff, tag="zd")
     for i in range(g.n):
         combined = {k: (ONE - lam) * a for k, a in rows_sym[i].items()}
         for k, a in rows_diff[i].items():
@@ -236,18 +232,6 @@ def _verify_hat_signless(g, lam, x):
         sys_.eq(combined, ZERO)
     sol = sys_.solve()
     return None if sol is None else _witness(sol, lam, x)
-
-
-def _add_diff_selection_tagged(sys_, g, x, row_coeffs):
-    for u, v, w in g.edges:
-        s = _sign(x[u] - x[v])
-        idx = (
-            sys_.fixed(f"zd[{u},{v}]", Fraction(s))
-            if s
-            else sys_.var(f"zd[{u},{v}]", -ONE, ONE)
-        )
-        row_coeffs[u][idx] = row_coeffs[u].get(idx, ZERO) + w
-        row_coeffs[v][idx] = row_coeffs[v].get(idx, ZERO) - w
 
 
 def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
@@ -366,26 +350,11 @@ def _scan_subset_family(g, ratio, include_trivial):
     ]
 
 
-def _ternary_vectors(g):
-    n = g.n
-    for mask_a in range(1 << n):
-        rest = ~mask_a & ((1 << n) - 1)
-        mask_b = rest
-        while True:
-            if mask_a or mask_b:
-                yield (
-                    frozenset(i for i in range(n) if mask_a >> i & 1),
-                    frozenset(i for i in range(n) if mask_b >> i & 1),
-                )
-            if mask_b == 0:
-                break
-            mask_b = (mask_b - 1) & rest
-
-
 def spectrum_scan(id: str, g: Graph, cap: int = 12):
     """Eigenvalues realized by indicator-type eigenvectors, ascending, with
     one witness each.  The sup-norm problems use closed-form constructors;
-    the selection problems verify each ternary candidate exactly."""
+    the selection problems verify ternary candidates exactly, in certificate
+    order, each value only until its first verified candidate."""
     if id in ("maxcut_inf", "cheeger_new", "anti_cheeger"):
         if g.n > cap:
             raise TooLarge(f"scan capped at n={cap}")
@@ -419,31 +388,38 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
     if id in ("signless", "one_lap", "hat_signless"):
         if g.n > 9 or g.n > cap:
             raise TooLarge(f"ternary scan capped at n={min(cap, 9)}")
-        seen = {}
-        ones = g.vertices()
-        if id == "one_lap" and verify(id, g, ZERO, indicator(g, ones)).verdict:
-            # constant vectors sit outside the ratio objective's domain
-            seen[ZERO] = (
-                (tuple(sorted(ones)), ()),
+        full = (1 << g.n) - 1
+        # constant vectors sit outside the ratio objective's domain
+        constant = (
+            id == "one_lap" and verify(id, g, ZERO, indicator(g, g.vertices())).verdict
+        )
+        members = mask_members(g.n)
+        pairs = ternary_pairs(g.n)
+        ratios = ternary_ratios(mask_tables(g), pairs, TERNARY_RATIO[RATIO_OF_PROBLEM[id]])
+        # reduced value -> its first verified pair, which in certificate
+        # order is its certificate; later pairs of that value skip verify
+        accepted = {}
+        for (a, b), (num, den) in zip(pairs, ratios):
+            if den == 0:  # outside the ratio's domain, as (V, ∅) is for one_lap
+                if constant and (a, b) == (full, 0):
+                    accepted.setdefault((0, 1), (a, b))
+                continue
+            c = gcd(num, den)
+            key = (num // c, den // c)
+            if key not in accepted:
+                x = indicator(g, members[a], members[b])
+                if verify(id, g, Fraction(*key), x).verdict:
+                    accepted[key] = (a, b)
+        values = sorted((Fraction(*key), a, b) for key, (a, b) in accepted.items())
+        return [
+            (
+                lam,
                 CutCertificate(
-                    kind="set_pair", sets=(ones, frozenset()), value=ZERO
+                    kind="set_pair",
+                    sets=(frozenset(members[a]), frozenset(members[b])),
+                    value=lam,
                 ),
             )
-        for a, b in _ternary_vectors(g):
-            x = indicator(g, a, b)
-            try:
-                lam = ratio_objective(RATIO_OF_PROBLEM[id], g, x)
-            except DegenerateDenominator:
-                continue
-            key = (tuple(sorted(a)), tuple(sorted(b)))
-            if lam in seen and seen[lam][0] <= key:
-                continue
-            if verify(id, g, lam, x).verdict:
-                entry = (
-                    key,
-                    CutCertificate(kind="set_pair", sets=(a, b), value=lam),
-                )
-                if lam not in seen or key < seen[lam][0]:
-                    seen[lam] = entry
-        return [(lam, cert) for lam, (_, cert) in sorted(seen.items())]
+            for lam, a, b in values
+        ]
     raise UnknownProblem(f"unknown eigenproblem {id!r}")

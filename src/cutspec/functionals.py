@@ -130,6 +130,19 @@ PROBLEM_IDS = (
 )
 
 
+# (numerator, denominator) of each ratio at 1_A - 1_B from the integer terms
+# (tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) that
+# graph.ternary_ratios passes, all scaled by the same D of graph.mask_tables
+TERNARY_RATIO = {
+    "cheeger_tv": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
+    "cheeger_new": lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
+    "dual": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
+    "mdual": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
+    "maxcut_ratio": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
+    "anti": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
+}
+
+
 def ratio_objective(problem_id: str, g: Graph, x: RVector) -> Fraction:
     """Exact ratio value of the selected objective at x."""
     volV = sum(g.mu, Fraction(0))

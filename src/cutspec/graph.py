@@ -201,6 +201,58 @@ def mask_members(n: int) -> list:
     return members
 
 
+def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
+    """Disjoint bitmask pairs (A, B), the supports of the ternary vectors
+    1_A - 1_B, in ascending order of the serialized pair (sorted A, sorted B):
+    the first pair of an optimum is its certificate.
+
+    "nonzero" keeps every pair but (∅, ∅), "nonconstant_2cut" the pairs with
+    A and B both nonempty, "nonconstant_3cut" those plus the pairs with a
+    vertex outside A ∪ B.
+    """
+    full = (1 << n) - 1
+    out = []
+    for mask_a in range(1 << n):
+        rest = ~mask_a & full
+        mask_b = rest
+        while True:
+            if domain_kind == "nonzero":
+                keep = mask_a or mask_b
+            elif domain_kind == "nonconstant_2cut":
+                keep = mask_a and mask_b
+            else:  # nonconstant_3cut
+                keep = (mask_a and mask_b) or (mask_a | mask_b) != full
+            if keep:
+                out.append((mask_a, mask_b))
+            if mask_b == 0:
+                break
+            mask_b = (mask_b - 1) & rest
+    members = mask_members(n)
+    rank = [0] * (1 << n)
+    for i, m in enumerate(sorted(range(1 << n), key=members.__getitem__)):
+        rank[m] = i
+    out.sort(key=lambda ab: rank[ab[0]] << n | rank[ab[1]])
+    return out
+
+
+def ternary_ratios(tables, pairs, ratio) -> list:
+    """ratio(tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) of
+    1_A - 1_B for every (A, B) in pairs, its terms ints scaled by the D of
+    tables = mask_tables(g): tv = cut(A) + cut(B), tv_plus = deg(A ∪ B) - tv
+    + cut(A ∪ B), and the median distance is the least mu-weighted distance
+    to a level -1, 0 or 1."""
+    _, cut, deg, volm = tables
+    vol_v, two_e = volm[-1], deg[-1]
+    out = []
+    for a, b in pairs:
+        u = a | b
+        tv = cut[a] + cut[b]
+        rest = vol_v - volm[u]
+        md = min(rest + 2 * volm[a], volm[a] + volm[b], 2 * volm[b] + rest)
+        out.append(ratio(tv, deg[u] - tv + cut[u], md, volm[u], vol_v, two_e))
+    return out
+
+
 # -- small graph parameters -------------------------------------------------
 
 def independence_number(g: Graph, cap: int = 24):

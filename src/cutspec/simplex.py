@@ -3,8 +3,11 @@
 Solves: find x with lo_j <= x_j <= hi_j and A x = b, all data Fractions.
 Box bounds are rewritten as shifted nonnegative variables plus slack rows,
 then phase-1 with artificial variables and Bland's rule (no cycling, no
-floating point).  Intended for the small systems produced by eigenpair
-verification, not as a general-purpose LP code.
+floating point).  A row whose right-hand side lies outside the range its
+left-hand side takes over the box rejects the system before any tableau is
+built; most rejected eigenpair candidates end there.  Intended for the
+small systems produced by eigenpair verification, not as a general-purpose
+LP code.
 """
 
 from __future__ import annotations
@@ -14,6 +17,25 @@ from typing import List, Optional, Sequence, Tuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _rows_in_reach(bounds, rows) -> bool:
+    """Row-interval test, a necessary condition for feasibility: over the
+    box, sum a_j x_j ranges over [sum of a_j at its minimizing bound, sum of
+    a_j at its maximizing bound], and each row's rhs must lie in its range."""
+    for coeffs, rhs in rows:
+        low = high = ZERO
+        for j, a in coeffs.items():
+            lo, hi = bounds[j]
+            if a > 0:
+                low += a * lo
+                high += a * hi
+            elif a < 0:
+                low += a * hi
+                high += a * lo
+        if not low <= rhs <= high:
+            return False
+    return True
 
 
 def find_feasible(
@@ -29,6 +51,8 @@ def find_feasible(
     for lo, hi in bounds:
         if lo > hi:
             return None
+    if not _rows_in_reach(bounds, rows):
+        return None
 
     # substitute x_j = lo_j + s_j with s_j in [0, d_j]; drop d_j = 0 vars
     shift = [lo for lo, _ in bounds]
@@ -70,8 +94,9 @@ def find_feasible(
     # phase-1 objective: minimize sum of artificials
     cost = [ZERO] * (width + 1)
     for r in tableau:
-        for c in range(width + 1):
-            cost[c] -= r[c]
+        for c, v in enumerate(r):
+            if v:
+                cost[c] -= v
     for i in range(m):
         cost[ns + ns + i] = ZERO
 
@@ -93,17 +118,17 @@ def find_feasible(
                     pivot_row = i
         if pivot_row is None:
             return None  # unbounded phase-1 cannot happen; defensive
-        piv = tableau[pivot_row][pivot_col]
-        tableau[pivot_row] = [v / piv for v in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][pivot_col] != 0:
-                f = tableau[i][pivot_col]
-                tableau[i] = [
-                    vi - f * vp for vi, vp in zip(tableau[i], tableau[pivot_row])
-                ]
-        if cost[pivot_col] != 0:
-            f = cost[pivot_col]
-            cost = [vi - f * vp for vi, vp in zip(cost, tableau[pivot_row])]
+        prow = tableau[pivot_row]
+        piv = prow[pivot_col]
+        # only the pivot row's nonzero columns change the other rows
+        nonzero = [c for c, v in enumerate(prow) if v]
+        for c in nonzero:
+            prow[c] /= piv
+        for row in tableau + [cost]:
+            f = row[pivot_col]
+            if row is not prow and f:
+                for c in nonzero:
+                    row[c] -= f * prow[c]
         basis[pivot_row] = pivot_col
 
     if -cost[width] != 0:

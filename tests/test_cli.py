@@ -189,3 +189,21 @@ def test_suite_workers_identical(tmp_path):
     assert [json.loads(l)["file"] for l in lines] == sorted(
         ["path4.txt", "complete3.txt", "cycle4.txt"]
     )
+
+
+def test_spectral_commands_need_degree_measure(tmp_path, capsys):
+    graph = str(CORPUS / "path4.txt")
+    custom = tmp_path / "custom.txt"
+    custom.write_text("0 1\n1 1\n2 1\n3 1\n")
+    for cmd in ("spectrum", "check"):
+        assert cli.main([cmd, "--graph", graph, "--measure", str(custom)]) == 2, cmd
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and "measure" in out.err
+    # the degrees of path4 written out as a measure file run as without one
+    degrees = tmp_path / "degrees.txt"
+    degrees.write_text("0 1\n1 2\n2 2\n3 1\n")
+    for cmd in ("spectrum", "check"):
+        assert cli.main([cmd, "--graph", graph, "--measure", str(degrees)]) == 0, cmd
+        with_measure = capsys.readouterr().out
+        assert cli.main([cmd, "--graph", graph]) == 0, cmd
+        assert capsys.readouterr().out == with_measure

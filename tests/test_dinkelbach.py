@@ -31,7 +31,7 @@ def test_finite_termination_bound():
         trace = dk.solve(pid, g)
         rs = [it["r"] for it in trace.iterations]
         assert len(rs) == len(set(rs)) + 1  # only the last value repeats
-        assert len(rs) <= len(dk._candidate_pairs(g, dk.PROBLEMS[pid].domain_kind)) + 2
+        assert len(rs) <= len(gr.ternary_pairs(g.n, dk.PROBLEMS[pid].domain_kind)) + 2
 
 
 def test_iterates_stay_in_omega():

@@ -3,7 +3,7 @@
 The references below enumerate exactly as the rational loops did: every
 candidate is scored with `fractions.Fraction` through `graph` and
 `functionals`, and ties go to the smallest serialized certificate (for
-Dinkelbach, to the first candidate in `_candidate_pairs` order).  A zero
+Dinkelbach, to the first candidate in `graph.ternary_pairs` order).  A zero
 denominator is a ZeroDivisionError in a reference; the kernel must raise
 the matching typed error instead.
 """
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from cutspec import dinkelbach as dk
 from cutspec import eigen as eg
+from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
 from cutspec.errors import CutspecError, DegenerateDenominator, ZeroMeasure
@@ -185,6 +186,34 @@ def kernel_scan(sid, g):
     return [(v, cert.serialized()[0]) for v, cert in eg.spectrum_scan(sid, g)]
 
 
+def ref_ternary_scan(sid, g):
+    """Every ternary pair scored by ratio_objective and verified exactly,
+    the smallest serialized pair kept per value; for one_lap the constant
+    vector, outside the ratio's domain, is checked first."""
+    seen = {}
+    if sid == "one_lap" and eg.verify(sid, g, F(0), fn.indicator(g, g.vertices())).verdict:
+        seen[F(0)] = (tuple(range(g.n)), ())
+    for a, b in product(range(1 << g.n), repeat=2):
+        if a & b or not a | b:
+            continue
+        sa, sb = _sets(g, a), _sets(g, b)
+        x = fn.indicator(g, sa, sb)
+        try:
+            lam = fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x)
+        except DegenerateDenominator:
+            continue
+        key = (tuple(sorted(sa)), tuple(sorted(sb)))
+        if lam in seen and seen[lam] <= key:
+            continue
+        if eg.verify(sid, g, lam, x).verdict:
+            seen[lam] = key
+    return [(lam, "set_pair", lam, key) for lam, key in sorted(seen.items())]
+
+
+def kernel_ternary_scan(sid, g):
+    return [(v, c.kind, c.value, c.serialized()) for v, c in eg.spectrum_scan(sid, g)]
+
+
 def ref_dinkelbach(pid, g):
     """Exact-enumeration Dinkelbach with every candidate scored by the
     problem's f1, f2, g1 and g2 on the candidate vector."""
@@ -193,7 +222,7 @@ def ref_dinkelbach(pid, g):
     x = dk.project(p, tuple(F(int(i == 0)) for i in range(g.n)))
     r = q(x)
     iterations = [(r, None, x)]
-    pairs = dk._candidate_pairs(g, p.domain_kind)
+    pairs = gr.ternary_pairs(g.n, p.domain_kind)
     while True:
         best = None
         for a, b in pairs:
@@ -255,6 +284,39 @@ def test_sup_norm_scans_match_reference(g):
     for sid, ref in REF_SCANS.items():
         got = outcome(lambda: kernel_scan(sid, g), ZeroMeasure)
         assert got == outcome(lambda: ref(g), ZeroMeasure), sid
+
+
+DISCONNECTED = gr.Graph.build(5, [(0, 1), (2, 3, F(1, 2)), (3, 4)])
+
+
+@SETTINGS
+@given(graphs(max_n=5))
+@example(EDGELESS)
+@example(ZERO_MU_PATH)
+@example(WEIGHTED)
+@example(DISCONNECTED)
+def test_ternary_scans_match_reference(g):
+    for sid in ("signless", "one_lap", "hat_signless"):
+        got = outcome(lambda: kernel_ternary_scan(sid, g), ZeroMeasure)
+        assert got == outcome(lambda: ref_ternary_scan(sid, g), ZeroMeasure), sid
+
+
+@pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut", "nonconstant_3cut"])
+def test_ternary_pairs_in_certificate_order(kind):
+    for n in range(5):
+        full = (1 << n) - 1
+        pairs = [
+            (a, b)
+            for a, b in product(range(1 << n), repeat=2)
+            if not a & b
+            and {
+                "nonzero": a | b,
+                "nonconstant_2cut": a and b,
+                "nonconstant_3cut": (a and b) or a | b != full,
+            }[kind]
+        ]
+        pairs.sort(key=lambda ab: tuple(tuple(i for i in range(n) if m >> i & 1) for m in ab))
+        assert gr.ternary_pairs(n, kind) == pairs
 
 
 @SETTINGS
