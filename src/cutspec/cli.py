@@ -189,12 +189,24 @@ def cmd_spectrum(args):
     return 0
 
 
+# inequality_suite reports kept by each narrower --suite
+CHECK_SUITES = {
+    "cheeger": lambda name: name == "cheeger",
+    "dual": lambda name: name in ("dual_cheeger", "sandwich_k1"),
+    "forest": lambda name: name.startswith("forest_sandwich_k"),
+}
+
+
 def cmd_check(args):
     g = _load_degree_measured_graph(args)
+    if args.suite == "forest" and not graph.is_forest(g):
+        raise UsageError("check --suite forest needs a forest")
     reports = []
-    if args.suite in ("all", "cheeger", "dual", "forest"):
-        for rep in spectrum.inequality_suite(g):
-            reports.append(rep)
+    if args.suite == "all":
+        reports.extend(spectrum.inequality_suite(g))
+    elif args.suite in CHECK_SUITES:
+        keep = CHECK_SUITES[args.suite]
+        reports.extend(r for r in spectrum.inequality_suite(g) if keep(r.name))
     if args.suite in ("all", "kway") and g.n <= 8:
         reports.extend(spectrum.kway_nodal_reports(g))
     if args.suite in ("all", "multiplicity"):

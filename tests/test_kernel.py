@@ -3,11 +3,13 @@
 The references below enumerate exactly as the rational loops did: every
 candidate is scored with `fractions.Fraction` through `graph` and
 `functionals`, and ties go to the smallest serialized certificate (for
-Dinkelbach, to the first candidate in `graph.ternary_pairs` order).  A zero
+Dinkelbach, to the first candidate in `graph.ternary_pairs` order; for its
+local_flip step, to the first strict improvement in move order).  A zero
 denominator is a ZeroDivisionError in a reference; the kernel must raise
 the matching typed error instead.
 """
 
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -239,6 +241,69 @@ def ref_dinkelbach(pid, g):
         r = r_next
 
 
+def ref_flip_solve(pid, g, seed, restarts):
+    """Dinkelbach with the local_flip inner step as a Fraction loop: every
+    move scored by the problem's f1, f2, g1 and g2 on its vector, the same
+    random starts, move order and strict-improvement rule; an infeasible
+    start is repaired to the disjoint pair A ∋ 0, B ∋ 1."""
+    p = dk.PROBLEMS[pid]
+    n = g.n
+    q = lambda x: (p.f1(g, x) - p.f2(g, x)) / (p.g1(g, x) - p.g2(g, x))
+    better = (lambda a, b: a > b) if p.opt == "max" else (lambda a, b: a < b)
+
+    def feasible(a, b):
+        return bool(a and b) if p.domain_kind == "nonconstant_2cut" else bool(a or b)
+
+    def value(a, b, r):
+        y = dk._pair_vector(g, a, b)
+        return p.f1(g, y) + r * p.g2(g, y) - p.f2(g, y) - r * p.g1(g, y)
+
+    rng = random.Random(seed)
+    x = dk.project(p, tuple(F(int(i == 0)) for i in range(n)))
+    r = q(x)
+    iterations = [(r, None, x)]
+    while True:
+        best = None
+        for _ in range(restarts):
+            a = b = 0
+            for i in range(n):
+                state = rng.randrange(3)
+                a |= (state == 1) << i
+                b |= (state == 2) << i
+            if not feasible(a, b):
+                a = (a | 1) & ~2
+                b = (b | (2 if n > 1 else 0)) & ~1
+            cur = value(a, b, r)
+            improved = True
+            while improved:
+                improved = False
+                for i in range(n):
+                    bit = 1 << i
+                    for na, nb in ((a | bit, b & ~bit), (a & ~bit, b | bit), (a & ~bit, b & ~bit)):
+                        if (na, nb) == (a, b) or not feasible(na, nb):
+                            continue
+                        val = value(na, nb, r)
+                        if better(val, cur):
+                            a, b, cur, improved = na, nb, val, True
+            if best is None or better(cur, best[1]):
+                best = ((a, b), cur)
+        (a, b), val = best
+        x = dk._pair_vector(g, a, b)
+        r_next = q(x)
+        iterations.append((r_next, val, x))
+        if r_next == r:
+            return iterations, (a, b), True
+        r = r_next
+
+
+def kernel_flip_solve(pid, g, seed, restarts):
+    tr = dk.solve(pid, g, inner="local_flip", seed=seed, restarts=restarts)
+    a, b = (sum(1 << i for i in s) for s in tr.final.sets)
+    assert tr.final.value == tr.iterations[-1]["r"]
+    trace = [(it["r"], it["inner_value"], it["x"]) for it in tr.iterations]
+    return trace, (a, b), tr.converged
+
+
 def kernel_dinkelbach(pid, g):
     tr = dk.solve(pid, g)
     a, b = (sum(1 << i for i in s) for s in tr.final.sets)
@@ -301,19 +366,13 @@ def test_ternary_scans_match_reference(g):
         assert got == outcome(lambda: ref_ternary_scan(sid, g), ZeroMeasure), sid
 
 
-@pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut", "nonconstant_3cut"])
+@pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut"])
 def test_ternary_pairs_in_certificate_order(kind):
     for n in range(5):
-        full = (1 << n) - 1
         pairs = [
             (a, b)
             for a, b in product(range(1 << n), repeat=2)
-            if not a & b
-            and {
-                "nonzero": a | b,
-                "nonconstant_2cut": a and b,
-                "nonconstant_3cut": (a and b) or a | b != full,
-            }[kind]
+            if not a & b and {"nonzero": a | b, "nonconstant_2cut": a and b}[kind]
         ]
         pairs.sort(key=lambda ab: tuple(tuple(i for i in range(n) if m >> i & 1) for m in ab))
         assert gr.ternary_pairs(n, kind) == pairs
@@ -328,6 +387,36 @@ def test_ternary_pairs_in_certificate_order(kind):
 def test_dinkelbach_iterations_match_reference(g, pid):
     got = outcome(lambda: kernel_dinkelbach(pid, g), DegenerateDenominator)
     assert got == outcome(lambda: ref_dinkelbach(pid, g), DegenerateDenominator)
+
+
+@SETTINGS
+@given(
+    graphs(),
+    st.sampled_from(sorted(dk.PROBLEMS)),
+    st.integers(0, 3),
+    st.sampled_from((1, 3, 8)),
+)
+@example(EDGELESS, "dual", 0, 8)
+@example(ZERO_MU_PATH, "cheeger_tv", 1, 3)
+@example(ZERO_MU_PATH, "mdual", 2, 8)
+@example(WEIGHTED, "anti", 0, 8)
+@example(DISCONNECTED, "cheeger_new", 3, 8)
+def test_local_flip_iterations_match_reference(g, pid, seed, restarts):
+    got = outcome(lambda: kernel_flip_solve(pid, g, seed, restarts), DegenerateDenominator)
+    want = outcome(lambda: ref_flip_solve(pid, g, seed, restarts), DegenerateDenominator)
+    assert got == want
+
+
+def test_lazy_mask_tables_match_mask_tables():
+    for g in (EDGELESS, ZERO_MU_PATH, WEIGHTED, DISCONNECTED):
+        d, cut, deg, vol = gr.mask_tables(g)
+        lazy = gr.lazy_mask_tables(g)
+        assert lazy[0] == d
+        masks = range(len(cut) - 1, -1, -1)  # largest first fills by chains
+        assert [(lazy[1][m], lazy[2][m], lazy[3][m]) for m in masks] == [
+            (cut[m], deg[m], vol[m]) for m in masks
+        ]
+        assert (lazy[2][-1], lazy[3][-1]) == (deg[-1], vol[-1])
 
 
 def test_mask_tables_small_example():
