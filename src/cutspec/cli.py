@@ -296,7 +296,6 @@ def cmd_suite(args):
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cutspec")
-    ap.add_argument("--format", choices=["json"], default="json")
     ap.add_argument("--cap", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quiet", action="store_true")

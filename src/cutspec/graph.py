@@ -490,6 +490,8 @@ def parse_graph(text: str, measure_text: Optional[str] = None) -> Graph:
         raw_edges.append((u, v, w))
         max_id = max(max_id, u, v)
     n = declared_n if declared_n is not None else max_id + 1
+    if n == 0:
+        raise ParseError("graph has no vertices")
     if max_id >= n:
         raise ParseError(f"vertex id {max_id} exceeds declared n={n}")
     mu = None

@@ -9,7 +9,6 @@ arguments; exceeding one raises TooLarge instead of degrading silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,16 +30,6 @@ class CutCertificate:
 
     def serialized(self) -> tuple:
         return tuple(tuple(sorted(s)) for s in self.sets)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "value": str(self.value),
-                "sets": [sorted(s) for s in self.sets],
-            },
-            sort_keys=True,
-        )
 
 
 def _best(kind, candidates, maximize):

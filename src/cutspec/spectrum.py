@@ -4,10 +4,28 @@ Floating point is confined to this module.  Eigenvalues come from a
 cyclic Jacobi sweep with a deterministic rotation order; comparisons
 against exact rational cut constants convert the rational to float and
 use an absolute tolerance of 1e-9.
+
+Each rotation changes only rows and columns p and q, and it changes them
+through numpy's BLAS matrix product with a 2x2 rotation.  The BLAS kernel computes
+each rotated entry as a two-term fused multiply-add chain.  The dense
+product rot.T @ a @ rot computes the same chain for each entry (its other
+terms are exact zeros and 1·a_ij), so the spectrum is bit for bit the
+dense rotation's wherever the kernel treats all columns alike.  An
+elementwise update such as c*x - s*y rounds twice where the fused
+multiply-add rounds once, and differs in the last bits.
+
+The spectrum therefore depends on the BLAS kernel numpy runs on.  Some
+kernels compute the dense product's edge columns differently: OpenBLAS
+0.3.31 on an AVX-512 CPU sums the two products of each of the last n mod 8
+columns without a fused multiply-add when n >= 17 and n mod 8 is 1 to 4
+(and p, q differ mod 8).  At those n the dense rotation and this one
+differ in the last bits; `cutspec spectrum` rounds eigenvalues to nine
+places, so there it prints a different `residual_bound` only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
@@ -60,28 +78,44 @@ def _report(name, lhs, mid, rhs, detail=None) -> InequalityReport:
 def _jacobi(a: np.ndarray):
     """Cyclic Jacobi rotations until the off-diagonal norm is negligible."""
     n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
+    # a above v: one product rotates the columns of both.
+    av = np.empty((2 * n, n))
+    av[:n] = a
+    av[n:] = np.eye(n)
+    a, v = av[:n], av[n:]
+    item, dot = a.item, np.dot
+    r2 = np.empty((2, 2))
+    r2t = r2.T
+    tiny = JACOBI_TARGET / (n * n)
     for _ in range(100):
         off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
         if off < JACOBI_TARGET:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) < JACOBI_TARGET / (n * n):
+                apq = item(p, q)
+                if abs(apq) < tiny:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1))
+                theta = (item(q, q) - item(p, p)) / (2 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta**2 + 1)
+                )
                 if theta == 0:
                     t = 1.0
-                c = 1 / np.sqrt(t**2 + 1)
+                c = 1 / math.sqrt(t**2 + 1)
                 s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
+                r2[0, 0] = r2[1, 1] = c
+                r2[0, 1] = s
+                r2[1, 0] = -s
+                # Both updates must stay BLAS matrix products: written out
+                # elementwise they round twice where the BLAS kernel uses
+                # one fused multiply-add, and the spectrum changes in the
+                # last bits.  np.dot hands every operand to BLAS, copying
+                # a strided one to a contiguous block first.
+                rows = a[p : q + 1 : q - p]
+                rows[...] = dot(r2t, rows)
+                cols = av[:, p : q + 1 : q - p]
+                cols[...] = dot(cols, r2)
     return a, v
 
 

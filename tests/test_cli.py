@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cutspec import cli
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -145,6 +147,29 @@ def test_zero_denominators_exit_1(tmp_path, capsys):
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum"],
+        ["check"],
+        ["oracle", "dual_cheeger"],
+        ["cut", "cheeger_tv", "--inner", "flip"],
+        ["cut", "dual", "--inner", "flip"],
+    ],
+    ids=lambda command: "_".join(w.lstrip("-") for w in command),
+)
+def test_graph_without_vertices_exit_1(command, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    header = tmp_path / "n0.txt"
+    header.write_text("n 0\n")
+    for path in (empty, header):
+        argv = [*command, "--graph", str(path)]
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: graph has no vertices\n", argv
 
 
 def test_gen_bad_k_exit_1(capsys):

@@ -113,6 +113,9 @@ def test_parse_errors():
         gr.parse_graph("0 x 1\n")
     with pytest.raises(ParseError):
         gr.parse_graph("n 2\n0 5 1\n")
+    for text in ("", "# only a comment\n", "n 0\n"):
+        with pytest.raises(ParseError, match="no vertices"):
+            gr.parse_graph(text)
 
 
 def test_parallel_edges_merge():

@@ -1,6 +1,9 @@
+import functools
 import math
 import random
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from cutspec import graph as gr
@@ -132,3 +135,123 @@ def test_multiplicity_bounds():
         assert rep.detail["alpha"] == alpha and rep.detail["eta"] == eta
     with pytest.raises(IsolatedVertex):
         sp.multiplicity_bounds_check(gr.Graph.build(3, [(0, 1)]))
+
+
+def _dense_jacobi(a):
+    """Reference Jacobi solver: a dense rotation matrix and three n x n
+    products per rotation.  Also returns how often theta == 0."""
+    n = a.shape[0]
+    a = a.copy()
+    v = np.eye(n)
+    theta_zero = 0
+    for _ in range(100):
+        off = np.sqrt(np.sum((a - np.diag(np.diag(a))) ** 2))
+        if off < sp.JACOBI_TARGET:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) < sp.JACOBI_TARGET / (n * n):
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2 * a[p, q])
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1))
+                if theta == 0:
+                    t = 1.0
+                    theta_zero += 1
+                c = 1 / np.sqrt(t**2 + 1)
+                s = t * c
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+                v = v @ rot
+    return a, v, theta_zero
+
+
+def _random_edges(rng, n, offset=0, weighted=False):
+    """A random tree on n vertices plus random chords: no isolated vertex."""
+    edges = set()
+    for i in range(1, n):
+        edges.add((rng.randrange(i), i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 2.5 / n:
+                edges.add((i, j))
+    out = []
+    for i, j in sorted(edges):
+        w = F(rng.randint(1, 9), rng.randint(1, 5)) if weighted else F(1)
+        out.append((i + offset, j + offset, w))
+    return out
+
+
+def _jacobi_inputs(g, monkeypatch):
+    seen = []
+    solve = sp._jacobi
+
+    def record(a):
+        seen.append(a.copy())
+        return solve(a)
+
+    monkeypatch.setattr(sp, "_jacobi", record)
+    sp.normalized_laplacian_spectrum(g)
+    monkeypatch.undo()
+    return seen
+
+
+@functools.cache
+def _dense_rotation_is_2x2(n):
+    """Whether this BLAS computes the rows and columns p, q of the dense
+    products rot.T @ b and b @ rot as the 2x2 products do, for every p < q.
+    Some kernels sum the two products of an edge column without a fused
+    multiply-add, and at such n the two solvers differ in the last bits."""
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal((n, n))
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            c, s = math.cos(p + q), math.sin(p + q)
+            rot = np.eye(n)
+            rot[p, p] = rot[q, q] = c
+            rot[p, q] = s
+            rot[q, p] = -s
+            r2 = np.array([[c, s], [-s, c]])
+            if (rot.T @ b)[[p, q]].tobytes() != (r2.T @ b[[p, q]]).tobytes():
+                return False
+            if (b @ rot)[:, [p, q]].tobytes() != (b[:, [p, q]] @ r2).tobytes():
+                return False
+    return True
+
+
+def test_jacobi_matches_dense_rotations(monkeypatch):
+    """Bit for bit wherever this BLAS rotates like the 2x2 products."""
+    rng = random.Random(2024)
+    cases = []
+    for n in list(range(2, 13)) + [16, 17, 20, 24, 32, 35, 48, 64]:
+        cases.append((f"weighted{n}", gr.Graph.build(n, _random_edges(rng, n, weighted=True)), False))
+    for n in (3, 5, 8, 11, 20, 40):
+        cases.append((f"unweighted{n}", gr.Graph.build(n, _random_edges(rng, n)), False))
+    for n1, n2, weighted in ((2, 2, False), (3, 4, True), (5, 6, False), (7, 10, True), (12, 17, False)):
+        edges = _random_edges(rng, n1, weighted=weighted) + _random_edges(rng, n2, n1, weighted)
+        g = gr.Graph.build(n1 + n2, edges)
+        assert not gr.is_connected(g)
+        cases.append((f"disconnected{n1}+{n2}", g, False))
+    for n in (3, 4, 5, 6, 9, 16):
+        cases.append((f"cycle{n}", gr.cycle(n), True))
+    for n in (2, 3, 4, 7, 12):
+        cases.append((f"complete{n}", gr.complete(n), True))
+    cases.append(("petersen", gr.petersen(), True))
+    bitwise = 0
+    for name, g, regular in cases:
+        (lap,) = _jacobi_inputs(g, monkeypatch)
+        diag, vecs = sp._jacobi(lap)
+        want_diag, want_vecs, theta_zero = _dense_jacobi(lap)
+        if regular:
+            assert theta_zero > 0, name
+        if _dense_rotation_is_2x2(g.n):
+            assert diag.tobytes() == want_diag.tobytes(), name
+            assert vecs.tobytes() == want_vecs.tobytes(), name
+            bitwise += 1
+        else:
+            vals = np.sort(np.diag(diag))
+            assert np.max(np.abs(vals - np.sort(np.diag(want_diag)))) < 1e-12, name
+            assert np.max(np.abs(lap @ vecs - vecs * np.diag(diag))) < 1e-12, name
+    assert bitwise > 0
