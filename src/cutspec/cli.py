@@ -34,8 +34,9 @@ ORACLE_FNS = {
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {path}: {reason}") from exc
 
 
 def _load_graph(args) -> Graph:
@@ -241,10 +242,13 @@ def cmd_scan(args):
 
 
 def _suite_one(path_str: str) -> str:
-    path = Path(path_str)
-    g = parse_graph(path.read_text())
-    row = {"file": path.name, "n": g.n, "edges": len(g.edges)}
+    """One file's JSON row; a file that cannot be read or parsed, or whose
+    graph fails a computation, gets an "error" entry instead of ending the
+    batch."""
+    row = {"file": Path(path_str).name}
     try:
+        g = parse_graph(_read(path_str))
+        row.update(n=g.n, edges=len(g.edges))
         h = oracles.cheeger(g)
         hmax = oracles.maxcut(g)
         hmin = oracles.mincut(g)

@@ -6,6 +6,11 @@ symmetric edge selection z, a median selection v, and slack variables for
 interval rows.  Systems are solved exactly over the rationals, so the
 verdict carries an exact witness whenever it is positive.
 
+The ternary scans first run the simplex's row-range test in integers,
+from the signs of the candidate 1_A - 1_B and the scaled weights,
+measures and eigenvalue, without building a system; only the candidates
+it passes go to verify and the simplex.
+
 Problem ids:
   one_lap       difference selection balanced against a median subgradient
   signless      symmetric selection against the scaled sign of x
@@ -36,7 +41,15 @@ from .functionals import (
     ratio_objective,
     sup_norm,
 )
-from .graph import Graph, mask_members, mask_tables, ternary_pairs, ternary_ratios, vol
+from .graph import (
+    Graph,
+    mask_members,
+    mask_tables,
+    scaled_graph,
+    ternary_pairs,
+    ternary_ratios,
+    vol,
+)
 from .oracles import CutCertificate
 from .simplex import find_feasible
 
@@ -272,6 +285,75 @@ def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
     return None
 
 
+def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
+    """simplex._rows_in_reach on the system that verify(id, g, p/q, 1_A - 1_B)
+    builds, for one_lap on any of its median systems, decided in ints from
+    scaled = scaled_graph(g) and the masks of A and B, with no system built.
+    Needs q > 0 and, for one_lap, a positive total measure.
+
+    Row i takes w_ij·sign(x_i ± x_j) from an edge to j when that sign is
+    nonzero and the free range ±w_ij when it is zero: f is the fixed part
+    and r the free part, of the symmetric selection (sign(x_i + x_j)) and
+    of the difference selection (sign(x_i - x_j)).  Every row is scaled
+    by q and the common denominator D of scaled."""
+    _, nbrs, deg, mu = scaled
+    ap = abs(p)
+    mass = {-1: 0, 0: 0, 1: 0}
+    diff_rows = []
+    for i, m in enumerate(mu):
+        wa = wb = 0
+        for nb, w in nbrs[i]:
+            if a & nb:
+                wa += w
+            elif b & nb:
+                wb += w
+        wz = deg[i] - wa - wb
+        if a >> i & 1:
+            t, f_sym, r_sym, f_diff, r_diff = 1, wa + wz, wb, wz + wb, wa
+        elif b >> i & 1:
+            t, f_sym, r_sym, f_diff, r_diff = -1, -wb - wz, wa, -wz - wa, wb
+        else:
+            t, f_sym, r_sym, f_diff, r_diff = 0, wa - wb, wz, wb - wa, wz
+        if id == "signless":
+            # rhs λ·μ_i·x_i; where x_i = 0 a slack ±λ·μ_i takes its place
+            if abs(p * m * t - q * f_sym) > q * r_sym + (0 if t else ap * m):
+                return False
+        elif id == "hat_signless":
+            # (1 - λ)·symmetric - λ·difference selection = 0
+            if abs((q - p) * f_sym - p * f_diff) > abs(q - p) * r_sym + ap * r_diff:
+                return False
+        else:
+            mass[t] += m
+            diff_rows.append((t, f_diff, r_diff, m))
+    if id != "one_lap":
+        return True
+    # median_candidates: the levels of x with at most half the mass on
+    # either side span the median interval; c2 = 2c
+    full = (1 << len(mu)) - 1
+    total = sum(mass.values())
+    below, medians = 0, []
+    for t, here in ((-1, b), (0, full & ~(a | b)), (1, a)):
+        if here:
+            if 2 * below <= total and 2 * (total - below - mass[t]) <= total:
+                medians.append(t)
+            below += mass[t]
+    lo, hi = medians[0], medians[-1]
+    for c2 in [2 * lo] if lo == hi else [2 * lo, lo + hi, 2 * hi]:
+        # v_i = μ_i·s_i for s_i = sign(x_i - c) ≠ 0, else free in ±μ_i;
+        # the row Σv = 0, then the rows difference selection - λ·v_i = 0
+        sgn = {t: (2 * t > c2) - (2 * t < c2) for t in mass}
+        if abs(sum(sgn[t] * m for t, m in mass.items())) > sum(
+            m for t, m in mass.items() if not sgn[t]
+        ):
+            continue
+        if all(
+            abs(q * f - p * sgn[t] * m) <= q * r + (0 if sgn[t] else ap * m)
+            for t, f, r, m in diff_rows
+        ):
+            return True
+    return False
+
+
 def verify(
     id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
 ) -> EigenpairReport:
@@ -396,8 +478,10 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         members = mask_members(g.n)
         pairs = ternary_pairs(g.n)
         ratios = ternary_ratios(mask_tables(g), pairs, TERNARY_RATIO[RATIO_OF_PROBLEM[id]])
+        scaled = scaled_graph(g)
         # reduced value -> its first verified pair, which in certificate
-        # order is its certificate; later pairs of that value skip verify
+        # order is its certificate; later pairs of that value skip verify,
+        # and so does a pair whose rows the simplex would reject unbuilt
         accepted = {}
         for (a, b), (num, den) in zip(pairs, ratios):
             if den == 0:  # outside the ratio's domain, as (V, ∅) is for one_lap
@@ -406,7 +490,7 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
                 continue
             c = gcd(num, den)
             key = (num // c, den // c)
-            if key not in accepted:
+            if key not in accepted and _rows_in_range(id, scaled, a, b, *key):
                 x = indicator(g, members[a], members[b])
                 if verify(id, g, Fraction(*key), x).verdict:
                     accepted[key] = (a, b)

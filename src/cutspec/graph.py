@@ -504,7 +504,13 @@ def parse_graph(text: str, measure_text: Optional[str] = None) -> Graph:
             parts = line.split()
             if len(parts) != 2:
                 raise ParseError(f"expected 'i mu_i', got {line!r}", line=lineno)
-            mu_map[int(parts[0])] = parse_rational(parts[1])
+            try:
+                i = int(parts[0])
+            except ValueError:
+                raise ParseError(f"bad vertex id in {line!r}", line=lineno)
+            if not 0 <= i < n:
+                raise ParseError(f"vertex id {i} out of range with n={n}", line=lineno)
+            mu_map[i] = parse_rational(parts[1])
         # default unspecified vertices to weighted degree
         deg = [Fraction(0)] * n
         for u, v, w in raw_edges:

@@ -216,6 +216,46 @@ def test_suite_workers_identical(tmp_path):
     )
 
 
+def test_suite_reports_a_bad_file_and_keeps_the_others(tmp_path):
+    sub = tmp_path / "mixed"
+    sub.mkdir()
+    (sub / "path4.txt").write_text((CORPUS / "path4.txt").read_text())
+    (sub / "bad_ids.txt").write_text("0 1\n1 x\n")
+    (sub / "binary.txt").write_bytes(b"\xff\xfe\x00")
+    (sub / "folder.txt").mkdir()  # matched by the glob, but no file to read
+    one = run(["suite", "--dir", str(sub), "--workers", "1"])
+    two = run(["suite", "--dir", str(sub), "--workers", "2"])
+    assert one.returncode == two.returncode == 1
+    assert one.stdout == two.stdout and one.stderr == ""
+    rows = {r["file"]: r for r in map(json.loads, one.stdout.splitlines())}
+    assert sorted(rows) == ["bad_ids.txt", "binary.txt", "folder.txt", "path4.txt"]
+    assert rows["path4.txt"]["h"] == "1/3" and "error" not in rows["path4.txt"]
+    assert rows["bad_ids.txt"] == {"file": "bad_ids.txt", "error": "line 2: bad vertex ids in '1 x'"}
+    for name in ("binary.txt", "folder.txt"):
+        assert set(rows[name]) == {"file", "error"}, name
+        assert rows[name]["error"].startswith("cannot read ") and name in rows[name]["error"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("x 1", "line 2: bad vertex id in 'x 1'"),
+        ("7 1", "line 2: vertex id 7 out of range with n=3"),
+        ("-1 1", "line 2: vertex id -1 out of range with n=3"),
+    ],
+    ids=["not_an_int", "past_n", "negative"],
+)
+def test_bad_measure_vertex_id_exit_1(line, message, tmp_path, capsys):
+    graph = tmp_path / "path3.txt"
+    graph.write_text("0 1\n1 2\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text(f"0 1\n{line}\n")
+    argv = ["oracle", "cheeger", "--graph", str(graph), "--measure", str(measure)]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
+
+
 def test_spectral_commands_need_degree_measure(tmp_path, capsys):
     graph = str(CORPUS / "path4.txt")
     custom = tmp_path / "custom.txt"

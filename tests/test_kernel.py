@@ -12,6 +12,7 @@ the matching typed error instead.
 import random
 from fractions import Fraction as F
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -23,6 +24,7 @@ from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
 from cutspec.errors import CutspecError, DegenerateDenominator, ZeroMeasure
+from cutspec.simplex import _rows_in_reach
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -364,6 +366,46 @@ def test_ternary_scans_match_reference(g):
     for sid in ("signless", "one_lap", "hat_signless"):
         got = outcome(lambda: kernel_ternary_scan(sid, g), ZeroMeasure)
         assert got == outcome(lambda: ref_ternary_scan(sid, g), ZeroMeasure), sid
+
+
+def built_systems(sid, g, lam, x):
+    """The (bounds, rows) of every system verify builds for (lam, x): each
+    is recorded and reported infeasible, so one_lap builds all its median
+    systems."""
+    systems = []
+    record = lambda bounds, rows: systems.append((bounds, rows))
+    with mock.patch.object(eg, "find_feasible", record):
+        eg.verify(sid, g, lam, x)
+    return systems
+
+
+@SETTINGS
+@given(graphs(max_n=4), st.fractions(min_value=-2, max_value=3, max_denominator=4))
+@example(EDGELESS, F(1))
+@example(ZERO_MU_PATH, F(1, 2))
+@example(WEIGHTED, F(2, 3))
+@example(DISCONNECTED, F(-1, 3))
+def test_row_range_test_matches_built_systems(g, off):
+    """The scan's integer row test is the simplex's row-interval test on
+    the systems verify builds, at the ratio value of each ternary pair, at
+    another value and at 0; so it never rejects a pair verify accepts."""
+    scaled = gr.scaled_graph(g)
+    members = gr.mask_members(g.n)
+    for a, b in gr.ternary_pairs(g.n):
+        x = fn.indicator(g, members[a], members[b])
+        for sid in ("signless", "one_lap", "hat_signless"):
+            if sid == "one_lap" and not any(g.mu):
+                continue  # no median: verify raises ZeroMeasure
+            lams = {F(0), off}
+            try:
+                lams.add(fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x))
+            except DegenerateDenominator:
+                pass
+            for lam in lams:
+                got = eg._rows_in_range(sid, scaled, a, b, lam.numerator, lam.denominator)
+                systems = built_systems(sid, g, lam, x)
+                assert got == any(_rows_in_reach(*s) for s in systems), (sid, a, b, lam)
+                assert got or not eg.verify(sid, g, lam, x).verdict, (sid, a, b, lam)
 
 
 @pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut"])
