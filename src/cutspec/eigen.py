@@ -338,7 +338,7 @@ def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
                 medians.append(t)
             below += mass[t]
     lo, hi = medians[0], medians[-1]
-    for c2 in [2 * lo] if lo == hi else [2 * lo, lo + hi, 2 * hi]:
+    for c2 in [2 * lo] if lo == hi else [2 * lo, 2 * hi]:
         # v_i = μ_i·s_i for s_i = sign(x_i - c) ≠ 0, else free in ±μ_i;
         # the row Σv = 0, then the rows difference selection - λ·v_i = 0
         sgn = {t: (2 * t > c2) - (2 * t < c2) for t in mass}

@@ -71,27 +71,27 @@ def median_interval(g: Graph, x: RVector):
             weights.append(m)
     prefix = Fraction(0)
     lo = hi = None
-    for idx, (v, m) in enumerate(zip(values, weights)):
+    for v, m in zip(values, weights):
         below = prefix
         above = total - prefix - m
         if below <= half and above <= half:
             if lo is None:
                 lo = v
             hi = v
-            # flat segment: the whole gap to the next value minimizes
-            if below + m == half and idx + 1 < len(values):
-                hi = values[idx + 1]
         prefix += m
     return lo, hi
 
 
 def median_candidates(g: Graph, x: RVector):
-    """Deterministic finite set covering the median interval's cases:
-    both endpoints plus the midpoint when the interval is nondegenerate."""
+    """The medians c at which verify builds a system: the median
+    interval's endpoints.  A level strictly between them carries zero mass,
+    so an interior c fixes v_i in mu_i Sgn(x_i - c) to -mu_i on level lo,
+    where c = lo leaves it free in +-mu_i, and changes nothing else: its
+    system is feasible only when lo's is."""
     lo, hi = median_interval(g, x)
     if lo == hi:
         return [lo]
-    return [lo, (lo + hi) / 2, hi]
+    return [lo, hi]
 
 
 def median_distance(g: Graph, x: RVector) -> Fraction:

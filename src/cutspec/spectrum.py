@@ -5,6 +5,11 @@ cyclic Jacobi sweep with a deterministic rotation order; comparisons
 against exact rational cut constants convert the rational to float and
 use an absolute tolerance of 1e-9.
 
+numpy is imported on the first eigensolver call, inside the two functions
+that use it, not at module import: `import cutspec` and every exact
+command (cut constants, eigenpair verdicts, nodal domains) start without
+loading it.
+
 Each rotation changes only rows and columns p and q, and it changes them
 through numpy's BLAS matrix product with a 2x2 rotation.  The BLAS kernel computes
 each rotated entry as a two-term fused multiply-add chain.  The dense
@@ -28,15 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from .errors import IsolatedVertex, TooLarge
 from .graph import Graph, graph_params, is_bipartite, is_forest, vol
 from . import oracles
 from .eigen import spectrum_scan
 from .nodal import analyze
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOL = 1e-9
 JACOBI_TARGET = 1e-12
@@ -77,6 +83,8 @@ def _report(name, lhs, mid, rhs, detail=None) -> InequalityReport:
 
 def _jacobi(a: np.ndarray):
     """Cyclic Jacobi rotations until the off-diagonal norm is negligible."""
+    import numpy as np
+
     n = a.shape[0]
     # a above v: one product rotates the columns of both.
     av = np.empty((2 * n, n))
@@ -121,6 +129,8 @@ def _jacobi(a: np.ndarray):
 
 def normalized_laplacian_spectrum(g: Graph, want_vectors: bool = True) -> Spectrum:
     """Eigen decomposition of I - D^{-1/2} W D^{-1/2}."""
+    import numpy as np
+
     if g.n > SIZE_CAP:
         raise TooLarge(f"dense eigensolver capped at n={SIZE_CAP}")
     deg = [Fraction(0)] * g.n

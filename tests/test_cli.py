@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from cutspec import cli
 
 CORPUS = Path(__file__).parent.parent / "corpus"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run(args, stdin=None):
@@ -107,6 +109,69 @@ def test_scan_output():
     res = run(["scan", "maxcut_inf", "--graph", str(CORPUS / "complete3.txt")])
     vals = [e["value"] for e in json.loads(res.stdout)["eigenvalues"]]
     assert vals == ["0", "2/3"]
+
+
+# main in a fresh interpreter; prints its exit code and whether numpy loaded
+NUMPY_PROBE = """
+import contextlib, io, sys
+from cutspec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        pytest.param(["gen", "petersen"], False, id="gen"),
+        pytest.param(["oracle", "cheeger", "--graph", "{cycle5}"], False, id="oracle"),
+        pytest.param(["cut", "cheeger_tv", "--graph", "{path4}"], False, id="cut"),
+        pytest.param(
+            ["verify", "one_lap", "--graph", "{path4}", "--lambda", "1/3", "--vector", "{x}"],
+            False,
+            id="verify",
+        ),
+        pytest.param(["nodal", "--graph", "{path4}", "--vector", "{x}"], False, id="nodal"),
+        pytest.param(["scan", "signless", "--graph", "{cycle5}"], False, id="scan"),
+        pytest.param(
+            ["check", "--suite", "multiplicity", "--graph", "{cycle5}"],
+            False,
+            id="check-multiplicity",
+        ),
+        pytest.param(["check", "--suite", "kway", "--graph", "{cycle5}"], False, id="check-kway"),
+        pytest.param(["spectrum", "--graph", "{cycle5}"], True, id="spectrum"),
+    ],
+)
+def test_only_the_eigensolver_loads_numpy(argv, loads_numpy, tmp_path):
+    vecfile = tmp_path / "x.txt"
+    vecfile.write_text("0 1\n1 1\n2 -1\n3 -1\n")
+    paths = {"cycle5": CORPUS / "cycle5.txt", "path4": CORPUS / "path4.txt", "x": vecfile}
+    argv = [a.format(**paths) for a in argv]
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["0", str(loads_numpy)]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cutspec.cli", "scan", "signless", "--graph", "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+    )
+    # the child blocks reading its graph until after the reader has gone
+    proc.stdout.close()
+    _, err = proc.communicate((CORPUS / "cycle5.txt").read_bytes(), timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
 def test_usage_error_exit_2():

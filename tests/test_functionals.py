@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cutspec import functionals as fn
 from cutspec import graph as gr
@@ -71,6 +73,34 @@ def test_median_interval_is_argmin():
         eps = F(1, 100)
         assert cost(lo - eps) > best
         assert cost(hi + eps) > best
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=-2, max_value=2, max_denominator=2),
+            st.fractions(min_value=0, max_value=2, max_denominator=2),
+        ),
+        min_size=1,
+        max_size=7,
+    ).filter(lambda pts: any(m for _, m in pts))
+)
+@example([(F(-1), F(1)), (F(1), F(1))])
+@example([(F(-1), F(1)), (F(0), F(0)), (F(1), F(1))])
+@example([(F(0), F(1)), (F(2), F(0))])
+def test_median_interval_matches_brute_force(points):
+    """The smallest and largest level t of x minimizing sum mu_i |x_i - t|,
+    zero-mass levels included."""
+    g = gr.Graph.build(len(points), [], [m for _, m in points])
+    x = vec(g, [t for t, _ in points])
+
+    def cost(t):
+        return sum(m * abs(v - t) for v, m in zip(x, g.mu))
+
+    best = min(cost(t) for t in x)
+    argmins = [t for t in x if cost(t) == best]
+    assert fn.median_interval(g, x) == (min(argmins), max(argmins))
 
 
 def test_lovasz_extension_examples():

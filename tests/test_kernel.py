@@ -408,6 +408,42 @@ def test_row_range_test_matches_built_systems(g, off):
                 assert got or not eg.verify(sid, g, lam, x).verdict, (sid, a, b, lam)
 
 
+def ref_verify_with_midpoint(sid, g, lam, x):
+    """verify with the median interval's midpoint tried between its
+    endpoints."""
+
+    def with_midpoint(g, x):
+        lo, hi = fn.median_interval(g, x)
+        return [lo] if lo == hi else [lo, (lo + hi) / 2, hi]
+
+    with mock.patch.object(eg, "median_candidates", with_midpoint):
+        return eg.verify(sid, g, lam, x)
+
+
+@SETTINGS
+@given(
+    graphs(max_n=4),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=4, max_size=4),
+    st.fractions(min_value=-1, max_value=3, max_denominator=3),
+)
+@example(gr.path(2), [F(1), F(-1), 0, 0], F(1))
+@example(ZERO_MU_PATH, [F(1), F(-1), F(1, 2), 0], F(1, 2))
+@example(WEIGHTED, [F(1), F(0), F(-1), F(1, 2)], F(2, 3))
+def test_median_endpoints_decide_as_with_midpoint(g, vals, off):
+    """Dropping the midpoint median system changes no verdict and no
+    witness: its box lies inside the lower endpoint's."""
+    x = fn.as_rvector(g, vals[: g.n])
+    for sid in ("one_lap", "cheeger_new", "maxcut_inf", "anti_cheeger"):
+        lams = {F(0), off}
+        try:
+            lams.add(fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x))
+        except CutspecError:
+            pass
+        for lam in lams:
+            got = outcome(lambda: eg.verify(sid, g, lam, x), None)
+            assert got == outcome(lambda: ref_verify_with_midpoint(sid, g, lam, x), None), (sid, lam)
+
+
 @pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut"])
 def test_ternary_pairs_in_certificate_order(kind):
     for n in range(5):
