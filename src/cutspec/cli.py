@@ -19,17 +19,8 @@ from pathlib import Path
 
 from . import dinkelbach, eigen, graph, nodal, oracles, spectrum
 from .errors import CutspecError, UsageError
-from .functionals import parse_rvector, ratio_objective
+from .functionals import EIGENPROBLEMS, PROBLEMS, parse_rvector
 from .graph import GENERATORS, Graph, emit_graph, parse_graph, parse_rational
-
-ORACLE_FNS = {
-    "cheeger": oracles.cheeger,
-    "maxcut": oracles.maxcut,
-    "mincut": oracles.mincut,
-    "dual_cheeger": oracles.dual_cheeger,
-    "modified_dual_cheeger": oracles.modified_dual_cheeger,
-    "anti_cheeger": oracles.anti_cheeger,
-}
 
 
 def _read(path: str) -> str:
@@ -80,12 +71,9 @@ def cmd_gen(args):
 
 def cmd_oracle(args):
     g = _load_graph(args)
-    if args.problem in ORACLE_FNS:
-        cert = (
-            ORACLE_FNS[args.problem](g, args.cap)
-            if args.cap
-            else ORACLE_FNS[args.problem](g)
-        )
+    if args.problem in oracles.ORACLES:
+        fn = oracles.ORACLES[args.problem]
+        cert = fn(g, args.cap) if args.cap else fn(g)
     elif args.problem == "k_way_dual_cheeger":
         cert = oracles.k_way_dual_cheeger(g, args.k)
     elif args.problem == "minmax_k_cut":
@@ -320,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("cut", help="Dinkelbach ratio solver")
-    p.add_argument("problem", choices=sorted(dinkelbach.PROBLEMS))
+    p.add_argument("problem", choices=sorted(PROBLEMS))
     p.add_argument("--graph", required=True)
     p.add_argument("--measure")
     p.add_argument("--inner", choices=["exact", "flip"], default="exact")
@@ -328,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cut)
 
     p = sub.add_parser("verify", help="exact eigenpair verification")
-    p.add_argument("problem", choices=sorted(eigen.EIGENPROBLEM_IDS))
+    p.add_argument("problem", choices=sorted(EIGENPROBLEMS))
     p.add_argument("--graph", required=True)
     p.add_argument("--measure")
     p.add_argument("--lambda", dest="lam", required=True)
@@ -363,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("scan", help="indicator-realized eigenvalues")
-    p.add_argument("problem", choices=sorted(eigen.EIGENPROBLEM_IDS))
+    p.add_argument("problem", choices=sorted(EIGENPROBLEMS))
     p.add_argument("--graph", required=True)
     p.add_argument("--measure")
     p.set_defaults(fn=cmd_scan)
@@ -385,11 +373,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        code = args.fn(args)
-        # a buffered stdout meets a closed pipe here, not in the exit flush
-        sys.stdout.flush()
+        try:
+            args = _parser().parse_args(argv)
+            code = args.fn(args)
+        finally:
+            # a buffered stdout meets a closed pipe here, not in the exit
+            # flush, also after the SystemExit that ends --help
+            sys.stdout.flush()
         return code
     except CutspecError as exc:
         print(f"error: {exc}", file=sys.stderr)

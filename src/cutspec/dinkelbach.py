@@ -10,7 +10,9 @@ and stops at exact rational equality r_{k+1} = r_k.  The exact inner
 solver enumerates the scaled ternary vectors (1_A - 1_B)/||.||_1 inside
 Omega, where the inner objective attains its optimum; the flip heuristic
 walks single-vertex moves from seeded random starts.  Both score a
-candidate exactly in integers from the mask kernel of `graph`.
+candidate exactly in integers by the problem record's ternary form
+(F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`, and r_k is
+functionals.ratio_objective at the chosen x.
 """
 
 from __future__ import annotations
@@ -19,20 +21,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from .errors import DegenerateDenominator, NotInOmega, TooLarge, UnknownProblem
+from .errors import NotInOmega, TooLarge, UnknownProblem
 from .eigen import verify
-from .functionals import (
-    TERNARY_RATIO,
-    RVector,
-    l1_mu_norm,
-    median_distance,
-    ratio_objective,
-    sup_norm,
-    tv,
-    tv_plus,
-)
+from .functionals import PROBLEMS, Problem, RVector, ratio_objective
 from .graph import (
     Graph,
     _ternary_ratios,
@@ -40,74 +33,10 @@ from .graph import (
     mask_tables,
     ternary_pairs,
     ternary_ratios,
-    vol,
 )
 from .oracles import CutCertificate
 
 ZERO = Fraction(0)
-
-
-def _zero(g, x):
-    return ZERO
-
-
-@dataclass(frozen=True)
-class RatioProblem:
-    name: str
-    f1: Callable
-    f2: Callable
-    g1: Callable
-    g2: Callable
-    opt: str  # min | max
-    domain_kind: str  # nonzero | nonconstant_2cut
-
-
-def _e_sup(g, x):
-    return g.two_e() * sup_norm(x)
-
-
-def _vol_sup(g, x):
-    return vol(g, range(g.n)) * sup_norm(x)
-
-
-def _two_vol_sup(g, x):
-    return 2 * vol(g, range(g.n)) * sup_norm(x)
-
-
-PROBLEMS = {
-    "cheeger_tv": RatioProblem(
-        "cheeger_tv", tv, _zero, median_distance, _zero, "min", "nonconstant_2cut"
-    ),
-    "cheeger_new": RatioProblem(
-        "cheeger_new", _e_sup, tv_plus, median_distance, _zero, "min", "nonconstant_2cut"
-    ),
-    "dual": RatioProblem("dual", tv_plus, _zero, l1_mu_norm, _zero, "min", "nonzero"),
-    "mdual": RatioProblem(
-        "mdual",
-        tv_plus,
-        _zero,
-        lambda g, x: tv_plus(g, x) + tv(g, x),
-        _zero,
-        "min",
-        "nonzero",
-    ),
-    "maxcut_ratio": RatioProblem(
-        "maxcut_ratio", tv, _zero, _vol_sup, _zero, "max", "nonzero"
-    ),
-    "anti": RatioProblem(
-        "anti", tv, _zero, _two_vol_sup, median_distance, "max", "nonzero"
-    ),
-}
-
-# eigenproblem whose stationarity condition matches each ratio objective
-EIGEN_OF_PROBLEM = {
-    "cheeger_tv": "one_lap",
-    "cheeger_new": "cheeger_new",
-    "dual": "signless",
-    "mdual": "hat_signless",
-    "maxcut_ratio": "maxcut_inf",
-    "anti": "anti_cheeger",
-}
 
 
 @dataclass
@@ -117,13 +46,13 @@ class DinkelbachTrace:
     final: Optional[CutCertificate] = None
 
 
-def in_omega(problem: RatioProblem, x: RVector) -> bool:
+def in_omega(problem: Problem, x: RVector) -> bool:
     if sum(abs(t) for t in x) != 1:
         return False
     return problem.domain_kind == "nonzero" or max(x) + min(x) == 0
 
 
-def project(problem: RatioProblem, x: RVector) -> RVector:
+def project(problem: Problem, x: RVector) -> RVector:
     """Pull an arbitrary vector into Omega (shift to balance for the 2-cut
     domains, then normalize the plain 1-norm)."""
     if problem.domain_kind != "nonzero":
@@ -142,16 +71,6 @@ def _pair_vector(g: Graph, mask_a: int, mask_b: int) -> RVector:
         s if mask_a >> i & 1 else -s if mask_b >> i & 1 else ZERO
         for i in range(g.n)
     )
-
-
-def _q(problem: RatioProblem, g, x) -> Fraction:
-    den = problem.g1(g, x) - problem.g2(g, x)
-    if den == 0:
-        raise DegenerateDenominator(
-            f"{problem.name} ratio has denominator 0 at x = "
-            + "(" + ", ".join(str(t) for t in x) + ")"
-        )
-    return (problem.f1(g, x) - problem.f2(g, x)) / den
 
 
 def _ternary_terms(pairs, ratios, big_l):
@@ -195,7 +114,7 @@ def solve(
             raise TooLarge(f"exact inner solver capped at n={cap}")
         pairs = ternary_pairs(g.n, problem.domain_kind)
         tables = mask_tables(g)
-        ratios = ternary_ratios(tables, pairs, TERNARY_RATIO[problem_id])
+        ratios = ternary_ratios(tables, pairs, problem.ternary)
         fs, gs = _ternary_terms(pairs, ratios, big_l)
         scale = tables[0] * big_l
         step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
@@ -207,7 +126,7 @@ def solve(
         raise UnknownProblem(f"unknown inner solver {inner!r}")
 
     trace = DinkelbachTrace()
-    r = _q(problem, g, x)
+    r = ratio_objective(problem_id, g, x)
     trace.iterations.append(
         {"k": 0, "r": r, "x": x, "inner_value": None}
     )
@@ -215,7 +134,7 @@ def solve(
     for k in range(1, max_iter + 1):
         (mask_a, mask_b), value = step(r)
         x = _pair_vector(g, mask_a, mask_b)
-        r_next = _q(problem, g, x)
+        r_next = ratio_objective(problem_id, g, x)
         trace.iterations.append(
             {"k": k, "r": r_next, "x": x, "inner_value": value}
         )
@@ -247,14 +166,14 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
     masks, so n has no cap."""
     maximize = problem.opt == "max"
     two_cut = problem.domain_kind == "nonconstant_2cut"
-    ratio = TERNARY_RATIO[problem.name]
     p, q = r.numerator, r.denominator
 
     def feasible(mask_a, mask_b):
         return (mask_a and mask_b) if two_cut else (mask_a or mask_b)
 
     def scores(moves):
-        fs, gs = _ternary_terms(moves, _ternary_ratios(tables, moves, ratio), big_l)
+        ratios = _ternary_ratios(tables, moves, problem.ternary)
+        fs, gs = _ternary_terms(moves, ratios, big_l)
         return [q * f - p * h for f, h in zip(fs, gs)]
 
     best = None
@@ -297,6 +216,6 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
 
 def stationary_check(problem_id: str, g: Graph, lam: Fraction, x: RVector) -> bool:
     """Delegate the stationarity condition to the matching eigenproblem."""
-    if problem_id not in EIGEN_OF_PROBLEM:
+    if problem_id not in PROBLEMS:
         raise UnknownProblem(f"no eigenproblem registered for {problem_id!r}")
-    return verify(EIGEN_OF_PROBLEM[problem_id], g, lam, x).verdict
+    return verify(PROBLEMS[problem_id].eigen, g, lam, x).verdict

@@ -1,10 +1,11 @@
 """Exact verification of candidate eigenpairs for the nonlinear operators.
 
-Each eigenproblem is a finite disjunction (over median choices) of linear
-feasibility systems in the subgradient selections: an antisymmetric or
-symmetric edge selection z, a median selection v, and slack variables for
-interval rows.  Systems are solved exactly over the rationals, so the
-verdict carries an exact witness whenever it is positive.
+Each eigenproblem is one linear feasibility system in the subgradient
+selections: an antisymmetric or symmetric edge selection z, a median
+selection v at the lowest median of x (every median gives the same
+feasible set), and slack variables for interval rows.  Systems are solved
+exactly over the rationals, so the verdict carries an exact witness
+whenever it is positive.
 
 The ternary scans first run the simplex's row-range test in integers,
 from the signs of the candidate 1_A - 1_B and the scaled weights,
@@ -33,14 +34,7 @@ from .errors import (
     ZeroMeasure,
     ZeroVector,
 )
-from .functionals import (
-    TERNARY_RATIO,
-    RVector,
-    indicator,
-    median_candidates,
-    ratio_objective,
-    sup_norm,
-)
+from .functionals import EIGENPROBLEMS, RVector, indicator, median_interval, sup_norm
 from .graph import (
     Graph,
     mask_members,
@@ -55,26 +49,6 @@ from .simplex import find_feasible
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-EIGENPROBLEM_IDS = (
-    "one_lap",
-    "signless",
-    "hat_signless",
-    "cheeger_new",
-    "maxcut_inf",
-    "anti_cheeger",
-)
-
-# eigenproblem -> ratio objective whose value the eigenvalue must match
-RATIO_OF_PROBLEM = {
-    "one_lap": "cheeger_tv",
-    "signless": "dual",
-    "hat_signless": "mdual",
-    "cheeger_new": "cheeger_new",
-    "maxcut_inf": "maxcut_ratio",
-    "anti_cheeger": "anti",
-}
-
 
 @dataclass
 class EigenpairReport:
@@ -141,8 +115,17 @@ def _add_sym_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, tag="z")
         row_coeffs[v][idx] = row_coeffs[v].get(idx, ZERO) + w
 
 
-def _add_median_selection(sys_: _System, g: Graph, x: RVector, c: Fraction):
-    """v_i in mu_i Sgn(x_i - c) with sum v = 0; returns the index list."""
+def _add_median_selection(sys_: _System, g: Graph, x: RVector):
+    """v_i in mu_i Sgn(x_i - c) with sum v = 0 at the lowest median c of x;
+    returns c and the index list.
+
+    No other median needs a system.  The levels strictly between the
+    median interval's ends lo < hi carry zero mass, and with B the mass
+    below lo and A the mass above hi the median conditions give
+    B + mu(lo) = mu(hi) + A = half; so sum v = 0 forces v = -mu on every
+    level <= lo and +mu on every level >= hi for c = lo, for c = hi and for
+    any c between: all have the feasible set of c = lo."""
+    c, _ = median_interval(g, x)
     idxs = []
     zero_row = {}
     for i in range(g.n):
@@ -154,7 +137,7 @@ def _add_median_selection(sys_: _System, g: Graph, x: RVector, c: Fraction):
         idxs.append(idx)
         zero_row[idx] = ONE
     sys_.eq(zero_row, ZERO)
-    return idxs
+    return c, idxs
 
 
 def _sup_norm_classes(x: RVector):
@@ -202,18 +185,15 @@ def _verify_one_lap(g, lam, x, raw=False):
         if sol is None:
             return None
         return _witness(sol, lam, x)
-    for c in median_candidates(g, x):
-        sys_ = _System()
-        rows = [dict() for _ in range(g.n)]
-        _add_diff_selection(sys_, g, x, rows)
-        vidx = _add_median_selection(sys_, g, x, c)
-        for i in range(g.n):
-            rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) - lam
-            sys_.eq(rows[i], ZERO)
-        sol = sys_.solve()
-        if sol is not None:
-            return _witness(sol, lam, x, c=c)
-    return None
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    _add_diff_selection(sys_, g, x, rows)
+    c, vidx = _add_median_selection(sys_, g, x)
+    for i in range(g.n):
+        rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) - lam
+        sys_.eq(rows[i], ZERO)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x, c=c)
 
 
 def _verify_signless(g, lam, x):
@@ -255,41 +235,38 @@ def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
     must total exactly bound.
     """
     _, d_plus, d_minus, d_zero = _sup_norm_classes(x)
-    medians = median_candidates(g, x) if with_median else [None]
-    for c in medians:
-        sys_ = _System()
-        rows = [dict() for _ in range(g.n)]
-        if symmetric:
-            _add_sym_selection(sys_, g, x, rows)
-        else:
-            _add_diff_selection(sys_, g, x, rows)
-        if with_median:
-            vidx = _add_median_selection(sys_, g, x, c)
-            for i in range(g.n):
-                rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) + lam
-        total_row = {}
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    if symmetric:
+        _add_sym_selection(sys_, g, x, rows)
+    else:
+        _add_diff_selection(sys_, g, x, rows)
+    c = None
+    if with_median:
+        c, vidx = _add_median_selection(sys_, g, x)
         for i in range(g.n):
-            if i in d_zero:
-                sys_.eq(rows[i], ZERO)
-            else:
-                sgn = ONE if i in d_plus else -ONE
-                s = sys_.var(f"s[{i}]", ZERO, bound)
-                row = {k: sgn * a for k, a in rows[i].items()}
-                row[s] = row.get(s, ZERO) - ONE
-                sys_.eq(row, ZERO)
-                total_row[s] = ONE
-        sys_.eq(total_row, bound)
-        sol = sys_.solve()
-        if sol is not None:
-            return _witness(sol, lam, x, c=c, total=bound)
-    return None
+            rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) + lam
+    total_row = {}
+    for i in range(g.n):
+        if i in d_zero:
+            sys_.eq(rows[i], ZERO)
+        else:
+            sgn = ONE if i in d_plus else -ONE
+            s = sys_.var(f"s[{i}]", ZERO, bound)
+            row = {k: sgn * a for k, a in rows[i].items()}
+            row[s] = row.get(s, ZERO) - ONE
+            sys_.eq(row, ZERO)
+            total_row[s] = ONE
+    sys_.eq(total_row, bound)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x, c=c, total=bound)
 
 
 def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
     """simplex._rows_in_reach on the system that verify(id, g, p/q, 1_A - 1_B)
-    builds, for one_lap on any of its median systems, decided in ints from
-    scaled = scaled_graph(g) and the masks of A and B, with no system built.
-    Needs q > 0 and, for one_lap, a positive total measure.
+    builds, decided in ints from scaled = scaled_graph(g) and the masks of A
+    and B, with no system built.  Needs q > 0 and, for one_lap, a positive
+    total measure.
 
     Row i takes w_ij·sign(x_i ± x_j) from an edge to j when that sign is
     nonzero and the free range ±w_ij when it is zero: f is the fixed part
@@ -327,31 +304,27 @@ def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
             diff_rows.append((t, f_diff, r_diff, m))
     if id != "one_lap":
         return True
-    # median_candidates: the levels of x with at most half the mass on
-    # either side span the median interval; c2 = 2c
+    # _add_median_selection's c: the lowest level of x with at most half
+    # the mass on either side
     full = (1 << len(mu)) - 1
     total = sum(mass.values())
-    below, medians = 0, []
-    for t, here in ((-1, b), (0, full & ~(a | b)), (1, a)):
+    below = 0
+    for c, here in ((-1, b), (0, full & ~(a | b)), (1, a)):
         if here:
-            if 2 * below <= total and 2 * (total - below - mass[t]) <= total:
-                medians.append(t)
-            below += mass[t]
-    lo, hi = medians[0], medians[-1]
-    for c2 in [2 * lo] if lo == hi else [2 * lo, 2 * hi]:
-        # v_i = μ_i·s_i for s_i = sign(x_i - c) ≠ 0, else free in ±μ_i;
-        # the row Σv = 0, then the rows difference selection - λ·v_i = 0
-        sgn = {t: (2 * t > c2) - (2 * t < c2) for t in mass}
-        if abs(sum(sgn[t] * m for t, m in mass.items())) > sum(
-            m for t, m in mass.items() if not sgn[t]
-        ):
-            continue
-        if all(
-            abs(q * f - p * sgn[t] * m) <= q * r + (0 if sgn[t] else ap * m)
-            for t, f, r, m in diff_rows
-        ):
-            return True
-    return False
+            if 2 * below <= total and 2 * (total - below - mass[c]) <= total:
+                break
+            below += mass[c]
+    # v_i = μ_i·s_i for s_i = sign(x_i - c) ≠ 0, else free in ±μ_i;
+    # the row Σv = 0, then the rows difference selection - λ·v_i = 0
+    sgn = {t: (t > c) - (t < c) for t in mass}
+    if abs(sum(sgn[t] * m for t, m in mass.items())) > sum(
+        m for t, m in mass.items() if not sgn[t]
+    ):
+        return False
+    return all(
+        abs(q * f - p * sgn[t] * m) <= q * r + (0 if sgn[t] else ap * m)
+        for t, f, r, m in diff_rows
+    )
 
 
 def verify(
@@ -387,11 +360,6 @@ def verify(
             verdict=False, lam=lam, x=x, violated="no feasible selection"
         )
     return EigenpairReport(verdict=True, lam=lam, x=x, witness=w)
-
-
-def rayleigh_consistency(id: str, g: Graph, lam: Fraction, x: RVector) -> bool:
-    """True iff the associated ratio objective at x equals lam exactly."""
-    return ratio_objective(RATIO_OF_PROBLEM[id], g, x) == Fraction(lam)
 
 
 def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector:
@@ -477,7 +445,7 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         )
         members = mask_members(g.n)
         pairs = ternary_pairs(g.n)
-        ratios = ternary_ratios(mask_tables(g), pairs, TERNARY_RATIO[RATIO_OF_PROBLEM[id]])
+        ratios = ternary_ratios(mask_tables(g), pairs, EIGENPROBLEMS[id].ternary)
         scaled = scaled_graph(g)
         # reduced value -> its first verified pair, which in certificate
         # order is its certificate; later pairs of that value skip verify,

@@ -1,17 +1,20 @@
-"""One-homogeneous vertex functionals and the set-pair Lovasz extension.
+"""One-homogeneous vertex functionals, the set-pair Lovasz extension and
+the problem registry.
 
 All values are exact rationals.  An RVector is a tuple of Fractions of
-length g.n.  Medians are mu-weighted; the full minimizer interval is
-returned so callers can enumerate its endpoints.
+length g.n.  Medians are mu-weighted, and median_interval returns the
+full minimizer interval.  PROBLEMS holds one record per ratio problem;
+every other module looks a problem up there.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 from .errors import DegenerateDenominator, ParseError, UnknownProblem, ZeroMeasure
-from .graph import Graph, cut_weight, parse_rational
+from .graph import Graph, parse_rational
 
 RVector = tuple
 
@@ -82,18 +85,6 @@ def median_interval(g: Graph, x: RVector):
     return lo, hi
 
 
-def median_candidates(g: Graph, x: RVector):
-    """The medians c at which verify builds a system: the median
-    interval's endpoints.  A level strictly between them carries zero mass,
-    so an interior c fixes v_i in mu_i Sgn(x_i - c) to -mu_i on level lo,
-    where c = lo leaves it free in +-mu_i, and changes nothing else: its
-    system is feasible only when lo's is."""
-    lo, hi = median_interval(g, x)
-    if lo == hi:
-        return [lo]
-    return [lo, hi]
-
-
 def median_distance(g: Graph, x: RVector) -> Fraction:
     """N(x) = min_t sum mu_i |x_i - t|, evaluated at a median."""
     lo, _ = median_interval(g, x)
@@ -120,63 +111,86 @@ def lovasz_extension(g: Graph, f: Callable, x: RVector) -> Fraction:
     return total
 
 
-PROBLEM_IDS = (
-    "cheeger_tv",
-    "cheeger_new",
-    "dual",
-    "mdual",
-    "maxcut_ratio",
-    "anti",
-)
+@dataclass(frozen=True)
+class Problem:
+    """One cut problem: its ratio objective, the eigenproblem whose
+    stationarity condition the ratio's critical points meet, and the cut
+    constant oracles.ORACLES[oracle] whose value, or 1 minus it when dual,
+    is the ratio's optimum over domain_kind.  ternary maps the integer terms
+    (tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) that
+    graph.ternary_ratios passes for 1_A - 1_B, all scaled by the same D of
+    graph.mask_tables, to the ratio's (numerator, denominator) there."""
+
+    ratio: str
+    eigen: str
+    oracle: str
+    dual: bool
+    opt: str  # min | max
+    domain_kind: str  # nonzero | nonconstant_2cut
+    ternary: Callable
 
 
-# (numerator, denominator) of each ratio at 1_A - 1_B from the integer terms
-# (tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) that
-# graph.ternary_ratios passes, all scaled by the same D of graph.mask_tables
-TERNARY_RATIO = {
-    "cheeger_tv": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
-    "cheeger_new": lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
-    "dual": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
-    "mdual": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
-    "maxcut_ratio": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
-    "anti": lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
+PROBLEMS = {
+    p.ratio: p
+    for p in (
+        # ratio, eigen, oracle, dual, opt, domain_kind, then ternary
+        Problem(
+            "cheeger_tv", "one_lap", "cheeger", False, "min", "nonconstant_2cut",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
+        ),
+        Problem(
+            "cheeger_new", "cheeger_new", "cheeger", False, "min", "nonconstant_2cut",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
+        ),
+        Problem(
+            "dual", "signless", "dual_cheeger", True, "min", "nonzero",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
+        ),
+        Problem(
+            "mdual", "hat_signless", "modified_dual_cheeger", True, "min", "nonzero",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
+        ),
+        Problem(
+            "maxcut_ratio", "maxcut_inf", "maxcut", False, "max", "nonzero",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
+        ),
+        Problem(
+            "anti", "anti_cheeger", "anti_cheeger", False, "max", "nonzero",
+            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
+        ),
+    )
 }
+
+# the same records by eigenproblem id
+EIGENPROBLEMS = {p.eigen: p for p in PROBLEMS.values()}
 
 
 def ratio_objective(problem_id: str, g: Graph, x: RVector) -> Fraction:
-    """Exact ratio value of the selected objective at x."""
-    volV = sum(g.mu, Fraction(0))
+    """Exact ratio value of the selected objective at any x, from only the
+    terms that objective reads."""
     if problem_id == "cheeger_tv":
-        den = median_distance(g, x)
-        if den == 0:
-            raise DegenerateDenominator("constant vector for cheeger_tv")
-        return tv(g, x) / den
-    if problem_id == "cheeger_new":
-        den = median_distance(g, x)
-        if den == 0:
-            raise DegenerateDenominator("constant vector for cheeger_new")
-        return (g.two_e() * sup_norm(x) - tv_plus(g, x)) / den
-    if problem_id == "dual":
-        den = l1_mu_norm(g, x)
-        if den == 0:
-            raise DegenerateDenominator("zero vector for dual ratio")
-        return tv_plus(g, x) / den
-    if problem_id == "mdual":
-        den = tv_plus(g, x) + tv(g, x)
-        if den == 0:
-            raise DegenerateDenominator("isolated support for mdual ratio")
-        return tv_plus(g, x) / den
-    if problem_id == "maxcut_ratio":
-        den = volV * sup_norm(x)
-        if den == 0:
-            raise DegenerateDenominator("zero vector for maxcut ratio")
-        return tv(g, x) / den
-    if problem_id == "anti":
-        den = 2 * volV * sup_norm(x) - median_distance(g, x)
-        if den == 0:
-            raise DegenerateDenominator("zero vector for anti ratio")
-        return tv(g, x) / den
-    raise UnknownProblem(f"unknown problem id {problem_id!r}")
+        num, den = tv(g, x), median_distance(g, x)
+    elif problem_id == "cheeger_new":
+        num, den = g.two_e() * sup_norm(x) - tv_plus(g, x), median_distance(g, x)
+    elif problem_id == "dual":
+        num, den = tv_plus(g, x), l1_mu_norm(g, x)
+    elif problem_id == "mdual":
+        num = tv_plus(g, x)
+        den = num + tv(g, x)
+    elif problem_id == "maxcut_ratio":
+        num, den = tv(g, x), sum(g.mu, Fraction(0)) * sup_norm(x)
+    elif problem_id == "anti":
+        num = tv(g, x)
+        den = 2 * sum(g.mu, Fraction(0)) * sup_norm(x) - median_distance(g, x)
+    else:
+        raise UnknownProblem(f"unknown problem id {problem_id!r}")
+    if den == 0:
+        raise DegenerateDenominator(
+            f"{problem_id} ratio has denominator 0 at x = ("
+            + ", ".join(str(t) for t in x)
+            + ")"
+        )
+    return num / den
 
 
 def parse_rvector(g: Graph, text: str) -> RVector:

@@ -15,6 +15,7 @@ from itertools import product
 from typing import Optional
 
 from .errors import BadK, Disconnected, TooLarge, UnknownProblem, ZeroMeasure
+from .functionals import PROBLEMS
 from .graph import Graph, is_connected, mask_members, mask_tables
 
 DEFAULT_SUBSET_CAP = 20
@@ -336,23 +337,25 @@ def minmax_k_cut(
     return cert
 
 
-RATIO_ORACLES = {
-    "cheeger_tv": (cheeger, False),
-    "cheeger_new": (cheeger, False),
-    "dual": (dual_cheeger, True),
-    "mdual": (modified_dual_cheeger, True),
-    "maxcut_ratio": (maxcut, False),
-    "anti": (anti_cheeger, False),
+# the single-constant oracles by name; functionals.Problem.oracle names one
+ORACLES = {
+    "cheeger": cheeger,
+    "maxcut": maxcut,
+    "mincut": mincut,
+    "dual_cheeger": dual_cheeger,
+    "modified_dual_cheeger": modified_dual_cheeger,
+    "anti_cheeger": anti_cheeger,
 }
 
 
 def ratio_oracle(problem_id: str, g: Graph, cap: Optional[int] = None) -> CutCertificate:
     """Combinatorial optimum of the continuous ratio objective: the cut
     constant itself, or 1 minus it for the two dual forms."""
-    if problem_id not in RATIO_ORACLES:
+    if problem_id not in PROBLEMS:
         raise UnknownProblem(f"no oracle registered for {problem_id!r}")
-    fn, complement = RATIO_ORACLES[problem_id]
+    problem = PROBLEMS[problem_id]
+    fn = ORACLES[problem.oracle]
     cert = fn(g) if cap is None else fn(g, cap)
-    if complement:
+    if problem.dual:
         return CutCertificate(kind=cert.kind, sets=cert.sets, value=1 - cert.value)
     return cert

@@ -50,7 +50,7 @@ def _ternary_vectors(g):
 
 def test_criterion_1_ratio_equivalence(small_corpus):
     start = time.monotonic()
-    problems = sorted(fn.PROBLEM_IDS)
+    problems = sorted(fn.PROBLEMS)
     for name, g in sorted(small_corpus.items()):
         best = {pid: None for pid in problems}
         for x in _ternary_vectors(g):
@@ -59,7 +59,7 @@ def test_criterion_1_ratio_equivalence(small_corpus):
                     val = fn.ratio_objective(pid, g, x)
                 except DegenerateDenominator:
                     continue
-                opt = dk.PROBLEMS[pid].opt
+                opt = fn.PROBLEMS[pid].opt
                 if (
                     best[pid] is None
                     or (val > best[pid] if opt == "max" else val < best[pid])
@@ -74,7 +74,7 @@ def test_criterion_1_ratio_equivalence(small_corpus):
 
 def test_criterion_2_dinkelbach_exactness(small_corpus):
     for name, g in sorted(small_corpus.items()):
-        for pid, problem in dk.PROBLEMS.items():
+        for pid, problem in fn.PROBLEMS.items():
             trace = dk.solve(pid, g, cap=8)
             assert trace.converged, (name, pid)
             assert trace.final.value == orc.ratio_oracle(pid, g).value, (name, pid)
@@ -85,7 +85,7 @@ def test_criterion_2_dinkelbach_exactness(small_corpus):
             else:
                 assert all(d >= 0 for d in deltas)
             assert len(rs) == len(set(rs)) + 1
-    _passed(2, f"{len(small_corpus)} graphs x {len(dk.PROBLEMS)} problems")
+    _passed(2, f"{len(small_corpus)} graphs x {len(fn.PROBLEMS)} problems")
 
 
 def test_criterion_3_eigenpair_constructors(small_corpus):

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from cutspec import cli
+from cutspec import functionals as fn
+from cutspec import oracles as orc
+from cutspec.graph import GENERATORS
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 SRC = Path(__file__).parent.parent / "src"
@@ -158,20 +162,31 @@ def test_only_the_eigensolver_loads_numpy(argv, loads_numpy, tmp_path):
     assert res.stdout.split() == ["0", str(loads_numpy)]
 
 
+# runs the CLI on its arguments once its stdin has closed
+AFTER_STDIN = "import sys; sys.stdin.read(); from cutspec import cli; sys.exit(cli.main())"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cutspec.cli", "scan", "signless", "--graph", "-"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
-    )
-    # the child blocks reading its graph until after the reader has gone
-    proc.stdout.close()
-    _, err = proc.communicate((CORPUS / "cycle5.txt").read_bytes(), timeout=60)
-    assert proc.returncode == 1
-    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    cases = [
+        (["-m", "cutspec.cli", "scan", "signless", "--graph", "-"], 1),
+        # argparse drops a failed write of its own help, so unbuffered the
+        # help is lost there and exits 0; buffered it fails in main's flush
+        (["-c", AFTER_STDIN, "scan", "--help"], 0 if unbuffered else 1),
+    ]
+    for args, code in cases:
+        proc = subprocess.Popen(
+            [sys.executable, *args],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+        )
+        # the child blocks reading its stdin until after the reader has gone
+        proc.stdout.close()
+        _, err = proc.communicate((CORPUS / "cycle5.txt").read_bytes(), timeout=60)
+        assert proc.returncode == code, args
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
 def test_usage_error_exit_2():
@@ -377,3 +392,60 @@ def test_check_forest_suite_needs_a_forest(capsys):
     assert cli.main(["check", "--graph", graph, "--suite", "forest"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:") and "forest" in out.err
+
+
+def _every_command(n, graph, measure, vector, suite_dir):
+    """One argv per subcommand, oracle, problem id, --inner, --suite and
+    --convention choice, on one graph."""
+    gm = ["--graph", graph, *measure]
+    oracles = [*sorted(orc.ORACLES), "nope", *(f"ratio:{p}" for p in [*sorted(fn.PROBLEMS), "nope"])]
+    suites = ("all", "cheeger", "dual", "kway", "forest", "multiplicity")
+    conventions = ("sign_based", "support_based", "sup_norm_based")
+    return [
+        *(["gen", name, str(n)] for name in sorted(GENERATORS)),
+        *(["oracle", name, *gm] for name in oracles),
+        *(["oracle", "k_way_dual_cheeger", *gm, "--k", k] for k in ("1", "2")),
+        *(["oracle", "minmax_k_cut", *gm, "--k", "2", *p] for p in ([], ["--partition"])),
+        *(["cut", p, *gm, "--inner", i] for p in sorted(fn.PROBLEMS) for i in ("exact", "flip")),
+        ["cut", "cheeger_tv", *gm, "--x0", vector],
+        *(
+            ["verify", s, *gm, "--lambda", "1/2", "--vector", vector]
+            for s in sorted(fn.EIGENPROBLEMS)
+        ),
+        ["verify", "one_lap", *gm, "--lambda", "1", "--vector", vector, "--raw"],
+        *(["nodal", *gm, "--vector", vector, "--convention", c] for c in conventions),
+        ["spectrum", *gm],
+        *(["check", *gm, "--suite", s] for s in suites),
+        *(["scan", s, *gm] for s in sorted(fn.EIGENPROBLEMS)),
+        ["suite", "--dir", suite_dir],
+    ]
+
+
+def test_no_exception_escapes_any_command(tmp_path, capsys):
+    """Every command on small random graphs (edgeless, weighted, zero
+    measures) ends in an exit code, never in an exception."""
+    rng = random.Random(0)
+    suite_dir = tmp_path / "suite"
+    suite_dir.mkdir()
+    graph, measure, vector = suite_dir / "g.txt", tmp_path / "mu.in", tmp_path / "x.in"
+    codes = set()
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        weights = ("1", "2", "1/2", "3/2")
+        edges = [f"{u} {v} {rng.choice(weights)}\n" for u, v in pairs]
+        graph.write_text("".join([f"n {n}\n", *edges]))
+        mu = rng.choice([None, "0", "01", "12"])  # degree, zero, some zeros, positive
+        measure.write_text("".join(f"{i} {rng.choice(mu or '0')}\n" for i in range(n)))
+        values = ("-1", "0", "1/2", "1")
+        vector.write_text("".join(f"{i} {rng.choice(values)}\n" for i in range(n)))
+        with_measure = [] if mu is None else ["--measure", str(measure)]
+        for argv in _every_command(n, str(graph), with_measure, str(vector), str(suite_dir)):
+            try:
+                code = cli.main(argv)
+            except (Exception, SystemExit) as exc:
+                pytest.fail(f"{argv} on {graph.read_text()!r}: {exc!r}")
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            codes.add(code)
+    assert codes == {0, 1, 2}

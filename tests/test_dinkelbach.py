@@ -19,7 +19,7 @@ def monotone(trace, opt):
 
 def test_exact_matches_oracles_small():
     for g in (gr.path(4), gr.complete(3), gr.star_triangle(2), gr.cycle(5)):
-        for pid, problem in dk.PROBLEMS.items():
+        for pid, problem in fn.PROBLEMS.items():
             trace = dk.solve(pid, g)
             assert trace.converged
             assert trace.final.value == orc.ratio_oracle(pid, g).value
@@ -29,39 +29,39 @@ def test_exact_matches_oracles_small():
 def test_finite_termination_bound():
     # strictly monotone r values, hence at most one step per candidate pair
     g = gr.cycle(4)
-    for pid in dk.PROBLEMS:
+    for pid in fn.PROBLEMS:
         trace = dk.solve(pid, g)
         rs = [it["r"] for it in trace.iterations]
         assert len(rs) == len(set(rs)) + 1  # only the last value repeats
-        assert len(rs) <= len(gr.ternary_pairs(g.n, dk.PROBLEMS[pid].domain_kind)) + 2
+        assert len(rs) <= len(gr.ternary_pairs(g.n, fn.PROBLEMS[pid].domain_kind)) + 2
 
 
 def test_iterates_stay_in_omega():
     g = gr.path(4)
-    for pid, problem in dk.PROBLEMS.items():
+    for pid, problem in fn.PROBLEMS.items():
         trace = dk.solve(pid, g)
         for it in trace.iterations:
             assert dk.in_omega(problem, it["x"])
 
 
 def test_in_omega_examples():
-    p = dk.PROBLEMS["cheeger_tv"]
+    p = fn.PROBLEMS["cheeger_tv"]
     g = gr.path(2)
     assert dk.in_omega(p, (F(1, 2), F(-1, 2)))
     assert not dk.in_omega(p, (F(1), F(0)))  # not balanced
     assert not dk.in_omega(p, (F(1), F(-1)))  # wrong norm
-    q = dk.PROBLEMS["dual"]
+    q = fn.PROBLEMS["dual"]
     assert dk.in_omega(q, (F(1), F(0)))
 
 
 def test_project():
-    p = dk.PROBLEMS["cheeger_tv"]
+    p = fn.PROBLEMS["cheeger_tv"]
     g = gr.path(3)
     x = dk.project(p, (F(3), F(1), F(1)))
     assert dk.in_omega(p, x)
     with pytest.raises(NotInOmega):
         dk.project(p, (F(2), F(2), F(2)))  # balancing collapses constants
-    q = dk.PROBLEMS["maxcut_ratio"]
+    q = fn.PROBLEMS["maxcut_ratio"]
     y = dk.project(q, (F(2), F(2), F(2)))
     assert dk.in_omega(q, y)
 
@@ -81,7 +81,7 @@ def test_custom_start_and_errors():
 def test_local_flip_sound_and_often_exact():
     # heuristic never reports a value on the wrong side of the optimum
     for g in (gr.path(4), gr.complete(3), gr.cycle(5)):
-        for pid, problem in dk.PROBLEMS.items():
+        for pid, problem in fn.PROBLEMS.items():
             trace = dk.solve(pid, g, inner="local_flip", seed=3, restarts=24)
             assert trace.converged
             exact = orc.ratio_oracle(pid, g).value
@@ -111,7 +111,7 @@ def test_local_flip_iterates_in_omega_with_disjoint_sets():
     )
     overlap_starts = 0
     for g in graphs:
-        for pid, problem in dk.PROBLEMS.items():
+        for pid, problem in fn.PROBLEMS.items():
             for seed, restarts in product(range(12), (1, 16)):
                 trace = dk.solve(pid, g, inner="local_flip", seed=seed, restarts=restarts)
                 for it in trace.iterations:
@@ -125,7 +125,7 @@ def test_local_flip_iterates_in_omega_with_disjoint_sets():
 
 def test_stationary_check_at_convergence():
     for g in (gr.path(4), gr.complete(3), gr.star_triangle(2)):
-        for pid in dk.PROBLEMS:
+        for pid in fn.PROBLEMS:
             trace = dk.solve(pid, g)
             x = trace.iterations[-1]["x"]
             assert dk.stationary_check(pid, g, trace.final.value, x)

@@ -203,7 +203,7 @@ def ref_ternary_scan(sid, g):
         sa, sb = _sets(g, a), _sets(g, b)
         x = fn.indicator(g, sa, sb)
         try:
-            lam = fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x)
+            lam = fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x)
         except DegenerateDenominator:
             continue
         key = (tuple(sorted(sa)), tuple(sorted(sb)))
@@ -218,11 +218,36 @@ def kernel_ternary_scan(sid, g):
     return [(v, c.kind, c.value, c.serialized()) for v, c in eg.spectrum_scan(sid, g)]
 
 
+def _zero(g, x):
+    return F(0)
+
+
+# Dinkelbach's split Q = (f1 - f2)/(g1 - g2) of each ratio: (f1, f2, g1, g2)
+SPLITS = {
+    "cheeger_tv": (fn.tv, _zero, fn.median_distance, _zero),
+    "cheeger_new": (
+        lambda g, x: g.two_e() * fn.sup_norm(x), fn.tv_plus, fn.median_distance, _zero
+    ),
+    "dual": (fn.tv_plus, _zero, fn.l1_mu_norm, _zero),
+    "mdual": (fn.tv_plus, _zero, lambda g, x: fn.tv_plus(g, x) + fn.tv(g, x), _zero),
+    "maxcut_ratio": (
+        fn.tv, _zero, lambda g, x: gr.vol(g, range(g.n)) * fn.sup_norm(x), _zero
+    ),
+    "anti": (
+        fn.tv,
+        _zero,
+        lambda g, x: 2 * gr.vol(g, range(g.n)) * fn.sup_norm(x),
+        fn.median_distance,
+    ),
+}
+
+
 def ref_dinkelbach(pid, g):
     """Exact-enumeration Dinkelbach with every candidate scored by the
     problem's f1, f2, g1 and g2 on the candidate vector."""
-    p = dk.PROBLEMS[pid]
-    q = lambda x: (p.f1(g, x) - p.f2(g, x)) / (p.g1(g, x) - p.g2(g, x))
+    p = fn.PROBLEMS[pid]
+    f1, f2, g1, g2 = SPLITS[pid]
+    q = lambda x: (f1(g, x) - f2(g, x)) / (g1(g, x) - g2(g, x))
     x = dk.project(p, tuple(F(int(i == 0)) for i in range(g.n)))
     r = q(x)
     iterations = [(r, None, x)]
@@ -231,7 +256,7 @@ def ref_dinkelbach(pid, g):
         best = None
         for a, b in pairs:
             y = dk._pair_vector(g, a, b)
-            val = p.f1(g, y) + r * p.g2(g, y) - p.f2(g, y) - r * p.g1(g, y)
+            val = f1(g, y) + r * g2(g, y) - f2(g, y) - r * g1(g, y)
             if best is None or (val > best[1] if p.opt == "max" else val < best[1]):
                 best = ((a, b), val)
         (a, b), val = best
@@ -248,9 +273,10 @@ def ref_flip_solve(pid, g, seed, restarts):
     move scored by the problem's f1, f2, g1 and g2 on its vector, the same
     random starts, move order and strict-improvement rule; an infeasible
     start is repaired to the disjoint pair A ∋ 0, B ∋ 1."""
-    p = dk.PROBLEMS[pid]
+    p = fn.PROBLEMS[pid]
+    f1, f2, g1, g2 = SPLITS[pid]
     n = g.n
-    q = lambda x: (p.f1(g, x) - p.f2(g, x)) / (p.g1(g, x) - p.g2(g, x))
+    q = lambda x: (f1(g, x) - f2(g, x)) / (g1(g, x) - g2(g, x))
     better = (lambda a, b: a > b) if p.opt == "max" else (lambda a, b: a < b)
 
     def feasible(a, b):
@@ -258,7 +284,7 @@ def ref_flip_solve(pid, g, seed, restarts):
 
     def value(a, b, r):
         y = dk._pair_vector(g, a, b)
-        return p.f1(g, y) + r * p.g2(g, y) - p.f2(g, y) - r * p.g1(g, y)
+        return f1(g, y) + r * g2(g, y) - f2(g, y) - r * g1(g, y)
 
     rng = random.Random(seed)
     x = dk.project(p, tuple(F(int(i == 0)) for i in range(n)))
@@ -398,7 +424,7 @@ def test_row_range_test_matches_built_systems(g, off):
                 continue  # no median: verify raises ZeroMeasure
             lams = {F(0), off}
             try:
-                lams.add(fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x))
+                lams.add(fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x))
             except DegenerateDenominator:
                 pass
             for lam in lams:
@@ -409,15 +435,20 @@ def test_row_range_test_matches_built_systems(g, off):
 
 
 def ref_verify_with_midpoint(sid, g, lam, x):
-    """verify with the median interval's midpoint tried between its
-    endpoints."""
+    """verify with the median interval's lower end, midpoint and upper end
+    tried in turn, each as the one median of its system; the first
+    feasible one decides."""
+    for pick in (lambda lo, hi: lo, lambda lo, hi: (lo + hi) / 2, lambda lo, hi: hi):
 
-    def with_midpoint(g, x):
-        lo, hi = fn.median_interval(g, x)
-        return [lo] if lo == hi else [lo, (lo + hi) / 2, hi]
+        def median_at(g, x):
+            c = pick(*fn.median_interval(g, x))
+            return c, c
 
-    with mock.patch.object(eg, "median_candidates", with_midpoint):
-        return eg.verify(sid, g, lam, x)
+        with mock.patch.object(eg, "median_interval", median_at):
+            rep = eg.verify(sid, g, lam, x)
+        if rep.verdict:
+            return rep
+    return rep
 
 
 @SETTINGS
@@ -436,7 +467,7 @@ def test_median_endpoints_decide_as_with_midpoint(g, vals, off):
     for sid in ("one_lap", "cheeger_new", "maxcut_inf", "anti_cheeger"):
         lams = {F(0), off}
         try:
-            lams.add(fn.ratio_objective(eg.RATIO_OF_PROBLEM[sid], g, x))
+            lams.add(fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x))
         except CutspecError:
             pass
         for lam in lams:
@@ -457,7 +488,7 @@ def test_ternary_pairs_in_certificate_order(kind):
 
 
 @SETTINGS
-@given(graphs(max_n=5), st.sampled_from(sorted(dk.PROBLEMS)))
+@given(graphs(max_n=5), st.sampled_from(sorted(fn.PROBLEMS)))
 @example(EDGELESS, "dual")
 @example(ZERO_MU_PATH, "dual")
 @example(ZERO_MU_PATH, "cheeger_tv")
@@ -470,7 +501,7 @@ def test_dinkelbach_iterations_match_reference(g, pid):
 @SETTINGS
 @given(
     graphs(),
-    st.sampled_from(sorted(dk.PROBLEMS)),
+    st.sampled_from(sorted(fn.PROBLEMS)),
     st.integers(0, 3),
     st.sampled_from((1, 3, 8)),
 )
@@ -483,6 +514,28 @@ def test_local_flip_iterations_match_reference(g, pid, seed, restarts):
     got = outcome(lambda: kernel_flip_solve(pid, g, seed, restarts), DegenerateDenominator)
     want = outcome(lambda: ref_flip_solve(pid, g, seed, restarts), DegenerateDenominator)
     assert got == want
+
+
+@SETTINGS
+@given(graphs(max_n=5))
+@example(EDGELESS)
+@example(ZERO_MU_PATH)
+@example(WEIGHTED)
+@example(DISCONNECTED)
+def test_ternary_forms_match_ratio_objective(g):
+    """Each problem's integer (F, G) at 1_A - 1_B is ratio_objective there,
+    and G = 0 exactly where ratio_objective has no value."""
+    pairs = gr.ternary_pairs(g.n)
+    members = gr.mask_members(g.n)
+    tables = gr.mask_tables(g)
+    for pid, p in fn.PROBLEMS.items():
+        for (a, b), (f, h) in zip(pairs, gr.ternary_ratios(tables, pairs, p.ternary)):
+            x = fn.indicator(g, members[a], members[b])
+            got = outcome(lambda: fn.ratio_objective(pid, g, x), None)
+            if h:
+                assert got == ("ok", F(f, h)), (pid, a, b)
+            else:
+                assert got in (("err", DegenerateDenominator), ("err", ZeroMeasure)), (pid, a, b)
 
 
 def test_lazy_mask_tables_match_mask_tables():
