@@ -287,8 +287,19 @@ def cmd_suite(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own writes (help, usage, errors) raise on
+    failure, as every other write does: argparse drops the error, so
+    --help into a closed unbuffered pipe would exit 0.  Subparsers
+    inherit the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cutspec")
+    ap = _Parser(prog="cutspec")
     ap.add_argument("--cap", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quiet", action="store_true")

@@ -89,30 +89,19 @@ def _sign(t: Fraction) -> int:
     return (t > 0) - (t < 0)
 
 
-def _add_diff_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, tag="z"):
-    """Antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u, -w z to row v."""
+def _add_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, symmetric, tag="z"):
+    """Edge selection z_ij in Sgn(x_i + x_j) when symmetric, else the
+    antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u and +w z
+    (symmetric) or -w z to row v."""
     for u, v, w in g.edges:
-        s = _sign(x[u] - x[v])
+        s = _sign(x[u] + x[v] if symmetric else x[u] - x[v])
         idx = (
             sys_.fixed(f"{tag}[{u},{v}]", Fraction(s))
             if s
             else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
         )
-        row_coeffs[u][idx] = row_coeffs[u].get(idx, ZERO) + w
-        row_coeffs[v][idx] = row_coeffs[v].get(idx, ZERO) - w
-
-
-def _add_sym_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, tag="z"):
-    """Symmetric z_ij in Sgn(x_i + x_j); adds +w z to both endpoint rows."""
-    for u, v, w in g.edges:
-        s = _sign(x[u] + x[v])
-        idx = (
-            sys_.fixed(f"{tag}[{u},{v}]", Fraction(s))
-            if s
-            else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
-        )
-        row_coeffs[u][idx] = row_coeffs[u].get(idx, ZERO) + w
-        row_coeffs[v][idx] = row_coeffs[v].get(idx, ZERO) + w
+        row_coeffs[u][idx] = w
+        row_coeffs[v][idx] = w if symmetric else -w
 
 
 def _add_median_selection(sys_: _System, g: Graph, x: RVector):
@@ -167,27 +156,10 @@ def _witness(sol: dict, lam, x, c=None, total=None) -> dict:
     return w
 
 
-def _verify_one_lap(g, lam, x, raw=False):
-    if raw:
-        sys_ = _System()
-        rows = [dict() for _ in range(g.n)]
-        _add_diff_selection(sys_, g, x, rows)
-        for i in range(g.n):
-            s = _sign(x[i])
-            if s:
-                rhs = lam * g.mu[i] * s
-                sys_.eq(rows[i], rhs)
-            else:
-                y = sys_.var(f"v[{i}]", -ONE, ONE)
-                rows[i][y] = rows[i].get(y, ZERO) - lam * g.mu[i]
-                sys_.eq(rows[i], ZERO)
-        sol = sys_.solve()
-        if sol is None:
-            return None
-        return _witness(sol, lam, x)
+def _verify_one_lap(g, lam, x):
     sys_ = _System()
     rows = [dict() for _ in range(g.n)]
-    _add_diff_selection(sys_, g, x, rows)
+    _add_selection(sys_, g, x, rows, symmetric=False)
     c, vidx = _add_median_selection(sys_, g, x)
     for i in range(g.n):
         rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) - lam
@@ -196,17 +168,20 @@ def _verify_one_lap(g, lam, x, raw=False):
     return None if sol is None else _witness(sol, lam, x, c=c)
 
 
-def _verify_signless(g, lam, x):
+def _verify_sign_system(g, lam, x, symmetric):
+    """signless (symmetric selection) and raw one_lap (difference
+    selection): row i equals lam * mu_i * sign(x_i), with a free v_i in
+    [-1, 1] in place of sign(x_i) where x_i = 0."""
     sys_ = _System()
     rows = [dict() for _ in range(g.n)]
-    _add_sym_selection(sys_, g, x, rows)
+    _add_selection(sys_, g, x, rows, symmetric)
     for i in range(g.n):
         s = _sign(x[i])
         if s:
             sys_.eq(rows[i], lam * g.mu[i] * s)
         else:
             y = sys_.var(f"v[{i}]", -ONE, ONE)
-            rows[i][y] = rows[i].get(y, ZERO) - lam * g.mu[i]
+            rows[i][y] = -lam * g.mu[i]
             sys_.eq(rows[i], ZERO)
     sol = sys_.solve()
     return None if sol is None else _witness(sol, lam, x)
@@ -216,8 +191,8 @@ def _verify_hat_signless(g, lam, x):
     sys_ = _System()
     rows_sym = [dict() for _ in range(g.n)]
     rows_diff = [dict() for _ in range(g.n)]
-    _add_sym_selection(sys_, g, x, rows_sym, tag="zs")
-    _add_diff_selection(sys_, g, x, rows_diff, tag="zd")
+    _add_selection(sys_, g, x, rows_sym, symmetric=True, tag="zs")
+    _add_selection(sys_, g, x, rows_diff, symmetric=False, tag="zd")
     for i in range(g.n):
         combined = {k: (ONE - lam) * a for k, a in rows_sym[i].items()}
         for k, a in rows_diff[i].items():
@@ -237,10 +212,7 @@ def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
     _, d_plus, d_minus, d_zero = _sup_norm_classes(x)
     sys_ = _System()
     rows = [dict() for _ in range(g.n)]
-    if symmetric:
-        _add_sym_selection(sys_, g, x, rows)
-    else:
-        _add_diff_selection(sys_, g, x, rows)
+    _add_selection(sys_, g, x, rows, symmetric)
     c = None
     if with_median:
         c, vidx = _add_median_selection(sys_, g, x)
@@ -335,10 +307,12 @@ def verify(
         raise ZeroVector("candidate eigenvector is zero")
     lam = Fraction(lam)
     volV = vol(g, range(g.n))
-    if id == "one_lap":
-        w = _verify_one_lap(g, lam, x, raw=raw_one_lap)
+    if id == "one_lap" and raw_one_lap:
+        w = _verify_sign_system(g, lam, x, symmetric=False)
+    elif id == "one_lap":
+        w = _verify_one_lap(g, lam, x)
     elif id == "signless":
-        w = _verify_signless(g, lam, x)
+        w = _verify_sign_system(g, lam, x, symmetric=True)
     elif id == "hat_signless":
         w = _verify_hat_signless(g, lam, x)
     elif id == "cheeger_new":

@@ -298,10 +298,13 @@ def _ternary_ratios(tables, pairs, ratio) -> list:
 
 # -- small graph parameters -------------------------------------------------
 
-def independence_number(g: Graph, cap: int = 24):
+PARAM_CAP = 24  # vertex cap of the exact independence number and matching
+
+
+def independence_number(g: Graph):
     """Exact independence number by branch and bound, with a witness set."""
-    if g.n > cap:
-        raise BadK(f"independence number capped at n={cap}")
+    if g.n > PARAM_CAP:
+        raise BadK(f"independence number capped at n={PARAM_CAP}")
     adj_mask = [0] * g.n
     for u, v, _ in g.edges:
         adj_mask[u] |= 1 << v
@@ -325,10 +328,10 @@ def independence_number(g: Graph, cap: int = 24):
     return best[0], witness
 
 
-def maximum_matching(g: Graph, cap: int = 24) -> int:
+def maximum_matching(g: Graph) -> int:
     """Exact maximum matching size (cardinality) by branching on vertices."""
-    if g.n > cap:
-        raise BadK(f"matching capped at n={cap}")
+    if g.n > PARAM_CAP:
+        raise BadK(f"matching capped at n={PARAM_CAP}")
     adj = {i: sorted(v for v, _ in nb) for i, nb in g.adjacency().items()}
     memo = {}
 
@@ -373,10 +376,10 @@ def is_forest(g: Graph) -> bool:
     return len(g.edges) == g.n - len(connected_components(g))
 
 
-def graph_params(g: Graph, cap: int = 24) -> dict:
+def graph_params(g: Graph) -> dict:
     """Independence number, matching, edge cover, bipartiteness, forest test."""
-    alpha, _ = independence_number(g, cap=cap)
-    beta = maximum_matching(g, cap=cap)
+    alpha, _ = independence_number(g)
+    beta = maximum_matching(g)
     deg_count = [0] * g.n
     for u, v, _ in g.edges:
         deg_count[u] += 1
@@ -395,8 +398,8 @@ def graph_params(g: Graph, cap: int = 24) -> dict:
     }
 
 
-def edge_cover_number(g: Graph, cap: int = 24) -> int:
-    params = graph_params(g, cap=cap)
+def edge_cover_number(g: Graph) -> int:
+    params = graph_params(g)
     if params["edge_cover"] is None:
         raise IsolatedVertex("edge cover undefined with isolated vertices")
     return params["edge_cover"]

@@ -3,20 +3,23 @@
 Every oracle enumerates its search space exhaustively, returns an exact
 rational optimum and a deterministic certificate: among optimal solutions
 the lexicographically smallest serialized set list wins, and 2-cut
-certificates are normalized so vertex 0 lies in the first set.  Caps are
-arguments; exceeding one raises TooLarge instead of degrading silently.
+certificates are normalized so vertex 0 lies in the first set.  Exceeding
+a cap raises TooLarge instead of degrading silently.  The subset and pair
+oracles take their vertex cap as an argument.  The k-way caps live in this
+module alone: k_way_dual_cheeger refuses (2k+1)^n, and minmax_k_cut
+(k+1)^n·2^k (k^n·2^k for partitions), above DEFAULT_WORK_CAP; spectrum's
+k-way reports call these oracles and skip a k they refuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 from .errors import BadK, Disconnected, TooLarge, UnknownProblem, ZeroMeasure
 from .functionals import PROBLEMS
-from .graph import Graph, is_connected, mask_members, mask_tables
+from .graph import Graph, is_connected, lazy_mask_tables, mask_members, mask_tables
 
 DEFAULT_SUBSET_CAP = 20
 DEFAULT_PAIR_CAP = 14
@@ -31,22 +34,6 @@ class CutCertificate:
 
     def serialized(self) -> tuple:
         return tuple(tuple(sorted(s)) for s in self.sets)
-
-
-def _best(kind, candidates, maximize):
-    """candidates: iterable of (value, sets tuple); deterministic tie-break."""
-    best = None
-    for value, sets in candidates:
-        key = tuple(tuple(sorted(s)) for s in sets)
-        if (
-            best is None
-            or (value > best[0] if maximize else value < best[0])
-            or (value == best[0] and key < best[2])
-        ):
-            best = (value, sets, key)
-    if best is None:
-        return None
-    return CutCertificate(kind=kind, sets=best[1], value=best[0])
 
 
 def _best_ratio(candidates, maximize, key):
@@ -189,9 +176,7 @@ def modified_dual_cheeger(g: Graph, cap: int = DEFAULT_PAIR_CAP) -> CutCertifica
     return _pair_oracle(g, cap, modified=True)
 
 
-def k_way_dual_cheeger(
-    g: Graph, k: int, work_cap: int = DEFAULT_WORK_CAP
-) -> CutCertificate:
+def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:
     """h+_k: max over k disjoint set pairs of the worst per-pair ratio
     2·w(A_j, B_j) / vol(A_j ∪ B_j).
 
@@ -204,8 +189,8 @@ def k_way_dual_cheeger(
     if k < 1 or k > g.n:
         raise BadK(f"k={k} outside [1, n]")
     states = 2 * k + 1
-    if states**g.n > work_cap:
-        raise TooLarge(f"(2k+1)^n = {states ** g.n} exceeds work cap {work_cap}")
+    if states**g.n > DEFAULT_WORK_CAP:
+        raise TooLarge(f"(2k+1)^n = {states ** g.n} exceeds work cap {DEFAULT_WORK_CAP}")
     n = g.n
     _, cut, _, volm = mask_tables(g)
     if not all(volm[1 << i] for i in range(n)):
@@ -265,76 +250,58 @@ def k_way_dual_cheeger(
     )
 
 
-def _mc_value(g: Graph, blocks, rest) -> Fraction:
-    """MC of a subpartition: twice the best bipartition-of-blocks cut plus
-    the total boundary toward the unassigned rest."""
-    k = len(blocks)
-    pair = [[Fraction(0)] * k for _ in range(k)]
-    to_rest = [Fraction(0)] * k
-    idx = {}
-    for bi, blk in enumerate(blocks):
-        for v in blk:
-            idx[v] = bi
-    for u, v, w in g.edges:
-        bu, bv = idx.get(u), idx.get(v)
-        if bu is not None and bv is not None and bu != bv:
-            pair[bu][bv] += w
-            pair[bv][bu] += w
-        elif bu is not None and bv is None:
-            to_rest[bu] += w
-        elif bv is not None and bu is None:
-            to_rest[bv] += w
-    best = Fraction(0)
-    for smask in range(1 << k):
-        cross = sum(
-            (
-                pair[i][j]
-                for i in range(k)
-                for j in range(k)
-                if smask >> i & 1 and not smask >> j & 1
-            ),
-            Fraction(0),
-        )
-        best = max(best, cross)
-    return 2 * best + sum(to_rest, Fraction(0))
+def _blockings(u: int, k: int):
+    """Every partition of mask u into k nonempty blocks, once each, as a
+    tuple of block masks in order of their lowest vertex."""
+    if k == 1:
+        yield (u,)
+        return
+    for block, rest in _splits(u):
+        if rest:
+            for tail in _blockings(rest, k - 1):
+                yield (block, *tail)
 
 
-def minmax_k_cut(
-    g: Graph,
-    k: int,
-    require_partition: bool = False,
-    work_cap: int = DEFAULT_WORK_CAP,
-) -> CutCertificate:
+def minmax_k_cut(g: Graph, k: int, require_partition: bool = False) -> CutCertificate:
     """M_k over subpartitions with k nonempty blocks, or M'_k over
-    partitions into k nonempty blocks when require_partition is set."""
+    partitions into k nonempty blocks when require_partition is set.
+
+    The MC of a subpartition with union U is the largest 2·w(P, Q) + cut(U)
+    over the bipartitions {P, Q} of its blocks, and that sum is cut(P) +
+    cut(Q).  Each subpartition is enumerated once, its blocks in order of
+    their lowest vertex, so ties go to the smallest serialized block list.
+    The cut table comes from lazy_mask_tables, not the 2^n lists: the work
+    gate admits a partition into one block at any n, and it reads cut(V)
+    alone.
+    """
     if k < 1 or k > g.n:
         raise BadK(f"k={k} outside [1, n]")
     states = k if require_partition else k + 1
     work = states**g.n * (1 << k)
-    if work > work_cap:
-        raise TooLarge(f"minmax {k}-cut work {work} exceeds cap {work_cap}")
-    offset = 0 if require_partition else 1
+    if work > DEFAULT_WORK_CAP:
+        raise TooLarge(f"minmax {k}-cut work {work} exceeds cap {DEFAULT_WORK_CAP}")
+    n = g.n
+    d, cut, _, _ = lazy_mask_tables(g)
+    full = (1 << n) - 1
 
-    def gen():
-        for assign in product(range(states), repeat=g.n):
-            blocks = tuple(
-                frozenset(i for i in range(g.n) if assign[i] == b + offset)
-                for b in range(k)
-            )
-            if any(not blk for blk in blocks):
-                continue
-            rest = (
-                frozenset()
-                if require_partition
-                else frozenset(i for i in range(g.n) if assign[i] == 0)
-            )
-            yield _mc_value(g, blocks, rest), blocks
+    def candidates():
+        for u in (full,) if require_partition else range(1, full + 1):
+            for blocks in _blockings(u, k):
+                sides = [blocks[0]]  # the unions P that hold the first block
+                for b in blocks[1:]:
+                    sides += [p | b for p in sides]
+                yield max(cut[p] + cut[u ^ p] for p in sides), d, blocks
 
-    kind = "partition" if require_partition else "subpartition"
-    cert = _best(kind, gen(), maximize=False)
-    if cert is None:
-        raise BadK(f"no subpartition with {k} nonempty blocks")
-    return cert
+    num, den, blocks = _best_ratio(
+        candidates(),
+        maximize=False,
+        key=lambda blocks: tuple(_members(b, n) for b in blocks),
+    )
+    return CutCertificate(
+        kind="partition" if require_partition else "subpartition",
+        sets=tuple(frozenset(_members(b, n)) for b in blocks),
+        value=Fraction(num, den),
+    )
 
 
 # the single-constant oracles by name; functionals.Problem.oracle names one

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
-from .errors import IsolatedVertex, TooLarge
+from .errors import BadK, IsolatedVertex, TooLarge
 from .graph import Graph, graph_params, is_bipartite, is_forest, vol
 from . import oracles
 from .eigen import spectrum_scan
@@ -157,9 +157,7 @@ def normalized_laplacian_spectrum(g: Graph, want_vectors: bool = True) -> Spectr
     )
 
 
-def inequality_suite(
-    g: Graph, kway_max: int = 3, kway_work_cap: int = oracles.DEFAULT_WORK_CAP
-) -> List[InequalityReport]:
+def inequality_suite(g: Graph) -> List[InequalityReport]:
     """Every spectral-vs-combinatorial inequality testable at g's size."""
     spec = normalized_laplacian_spectrum(g, want_vectors=False)
     lam = spec.eigenvalues
@@ -201,10 +199,11 @@ def inequality_suite(
 
     # forest mode: c_k = 1 - h_k+ is exact, so the two-sided bound applies
     if is_forest(g):
-        for k in range(1, kway_max + 1):
-            if k > g.n or (2 * k + 1) ** g.n > kway_work_cap:
+        for k in (1, 2, 3):  # up to the first k the oracle refuses
+            try:
+                hk = oracles.k_way_dual_cheeger(g, k).value
+            except (BadK, TooLarge):
                 break
-            hk = oracles.k_way_dual_cheeger(g, k, work_cap=kway_work_cap).value
             ck = 1 - float(hk)
             out.append(
                 _report(
@@ -229,29 +228,22 @@ def inequality_suite(
     return out
 
 
-def kway_nodal_reports(
-    g: Graph,
-    scan_cap: int = 9,
-    kway_work_cap: int = oracles.DEFAULT_WORK_CAP,
-    max_pairs: Optional[int] = None,
-) -> List[InequalityReport]:
+def kway_nodal_reports(g: Graph) -> List[InequalityReport]:
     """Lower half of the k-way bound on scanned ternary eigenpairs: an
     eigenvalue c whose eigenvector has m support domains obeys
-    1 - h_m+ <= c."""
+    1 - h_m+ <= c, reported for each m the k-way oracle accepts."""
     out = []
-    pairs = spectrum_scan("signless", g, cap=scan_cap)
-    if max_pairs is not None:
-        pairs = pairs[:max_pairs]
-    for value, cert in pairs:
+    for value, cert in spectrum_scan("signless", g):
         a, b = cert.sets
         x = tuple(
             Fraction(1) if i in a else Fraction(-1) if i in b else Fraction(0)
             for i in range(g.n)
         )
         m = len(analyze(g, x, "support_based").support_domains)
-        if m < 1 or (2 * m + 1) ** g.n > kway_work_cap:
+        try:
+            hm = oracles.k_way_dual_cheeger(g, m).value
+        except (BadK, TooLarge):
             continue
-        hm = oracles.k_way_dual_cheeger(g, m, work_cap=kway_work_cap).value
         out.append(
             _report(
                 f"kway_lower_m{m}",

@@ -170,9 +170,8 @@ AFTER_STDIN = "import sys; sys.stdin.read(); from cutspec import cli; sys.exit(c
 def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
     cases = [
         (["-m", "cutspec.cli", "scan", "signless", "--graph", "-"], 1),
-        # argparse drops a failed write of its own help, so unbuffered the
-        # help is lost there and exits 0; buffered it fails in main's flush
-        (["-c", AFTER_STDIN, "scan", "--help"], 0 if unbuffered else 1),
+        # unbuffered the help's own write fails, buffered main's flush does
+        (["-c", AFTER_STDIN, "scan", "--help"], 1),
     ]
     for args, code in cases:
         proc = subprocess.Popen(

@@ -23,7 +23,7 @@ from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
-from cutspec.errors import CutspecError, DegenerateDenominator, ZeroMeasure
+from cutspec.errors import BadK, CutspecError, DegenerateDenominator, TooLarge, ZeroMeasure
 from cutspec.simplex import _rows_in_reach
 
 SETTINGS = settings(
@@ -142,6 +142,88 @@ def ref_k_way(g, k):
             yield val, tuple(tuple(sorted(s)) for s in sets)
 
     return _argbest(cands(), maximize=True)
+
+
+# the rational min-max k-cut loop that graph.mask_tables replaced, unchanged
+def _best(kind, candidates, maximize):
+    """candidates: iterable of (value, sets tuple); deterministic tie-break."""
+    best = None
+    for value, sets in candidates:
+        key = tuple(tuple(sorted(s)) for s in sets)
+        if (
+            best is None
+            or (value > best[0] if maximize else value < best[0])
+            or (value == best[0] and key < best[2])
+        ):
+            best = (value, sets, key)
+    if best is None:
+        return None
+    return orc.CutCertificate(kind=kind, sets=best[1], value=best[0])
+
+
+def _mc_value(g, blocks, rest):
+    """MC of a subpartition: twice the best bipartition-of-blocks cut plus
+    the total boundary toward the unassigned rest."""
+    k = len(blocks)
+    pair = [[F(0)] * k for _ in range(k)]
+    to_rest = [F(0)] * k
+    idx = {}
+    for bi, blk in enumerate(blocks):
+        for v in blk:
+            idx[v] = bi
+    for u, v, w in g.edges:
+        bu, bv = idx.get(u), idx.get(v)
+        if bu is not None and bv is not None and bu != bv:
+            pair[bu][bv] += w
+            pair[bv][bu] += w
+        elif bu is not None and bv is None:
+            to_rest[bu] += w
+        elif bv is not None and bu is None:
+            to_rest[bv] += w
+    best = F(0)
+    for smask in range(1 << k):
+        cross = sum(
+            (
+                pair[i][j]
+                for i in range(k)
+                for j in range(k)
+                if smask >> i & 1 and not smask >> j & 1
+            ),
+            F(0),
+        )
+        best = max(best, cross)
+    return 2 * best + sum(to_rest, F(0))
+
+
+def ref_minmax(g, k, require_partition=False, work_cap=orc.DEFAULT_WORK_CAP):
+    if k < 1 or k > g.n:
+        raise BadK(f"k={k} outside [1, n]")
+    states = k if require_partition else k + 1
+    work = states**g.n * (1 << k)
+    if work > work_cap:
+        raise TooLarge(f"minmax {k}-cut work {work} exceeds cap {work_cap}")
+    offset = 0 if require_partition else 1
+
+    def gen():
+        for assign in product(range(states), repeat=g.n):
+            blocks = tuple(
+                frozenset(i for i in range(g.n) if assign[i] == b + offset)
+                for b in range(k)
+            )
+            if any(not blk for blk in blocks):
+                continue
+            rest = (
+                frozenset()
+                if require_partition
+                else frozenset(i for i in range(g.n) if assign[i] == 0)
+            )
+            yield _mc_value(g, blocks, rest), blocks
+
+    kind = "partition" if require_partition else "subpartition"
+    cert = _best(kind, gen(), maximize=False)
+    if cert is None:
+        raise BadK(f"no subpartition with {k} nonempty blocks")
+    return cert
 
 
 def ref_scan(g, value, include_trivial):
@@ -392,6 +474,30 @@ def test_ternary_scans_match_reference(g):
     for sid in ("signless", "one_lap", "hat_signless"):
         got = outcome(lambda: kernel_ternary_scan(sid, g), ZeroMeasure)
         assert got == outcome(lambda: ref_ternary_scan(sid, g), ZeroMeasure), sid
+
+
+@st.composite
+def graphs_with_k(draw):
+    """A graphs(max_n=5) graph and a k in 0 ... n + 1."""
+    g = draw(graphs(max_n=5))
+    return g, draw(st.integers(0, g.n + 1))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(graphs_with_k(), st.booleans())
+@example((EDGELESS, 2), False)
+@example((ZERO_MU_PATH, 2), True)
+@example((WEIGHTED, 3), False)
+@example((DISCONNECTED, 3), False)
+def test_minmax_k_cut_matches_reference(gk, require_partition):
+    g, k = gk
+
+    def kind_and_cert(minmax):
+        cert = minmax(g, k, require_partition=require_partition)
+        return cert.kind, cert.value, cert.serialized()
+
+    got = outcome(lambda: kind_and_cert(orc.minmax_k_cut), ZeroMeasure)
+    assert got == outcome(lambda: kind_and_cert(ref_minmax), ZeroMeasure)
 
 
 def built_systems(sid, g, lam, x):

@@ -105,6 +105,13 @@ def test_minmax_k_cut_basics():
     assert orc.minmax_k_cut(k3, 3).value == orc.maxcut(k3).value * volV
 
 
+def test_minmax_one_block_partition_has_no_vertex_cap():
+    # its work is 2 at any n: it reads cut(V) and builds no 2^n table
+    cert = orc.minmax_k_cut(gr.path(60), 1, require_partition=True)
+    assert cert.value == 0 and cert.sets == (frozenset(range(60)),)
+    assert cert.kind == "partition"
+
+
 def test_minmax_monotone_and_partition():
     for g in (gr.complete(3), gr.path(4), gr.cycle(4), gr.star(4)):
         n = g.n
