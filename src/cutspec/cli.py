@@ -41,10 +41,7 @@ def _load_degree_measured_graph(args) -> Graph:
     """The graph of a spectral command, whose operator is the normalized
     Laplacian and whose theorems hold for mu = weighted degree only."""
     g = _load_graph(args)
-    if any(g.mu[i] != g.degree(i) for i in range(g.n)):
-        raise UsageError(
-            f"{args.command} needs the degree measure: --measure differs from the weighted degree"
-        )
+    graph.require_degree_measure(g, args.command)
     return g
 
 
@@ -79,7 +76,7 @@ def cmd_oracle(args):
     elif args.problem == "minmax_k_cut":
         cert = oracles.minmax_k_cut(g, args.k, require_partition=args.partition)
     elif args.problem.startswith("ratio:"):
-        cert = oracles.ratio_oracle(args.problem[len("ratio:") :], g, args.cap)
+        cert = oracles.ratio_oracle(args.problem[len("ratio:") :], g, args.cap or None)
     else:
         raise CutspecError(f"unknown oracle {args.problem!r}")
     _emit(_cert_payload(cert), args)
@@ -383,10 +380,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_negative_lambda(argv) -> list:
+    """argv with `--lambda <negative rational>` written `--lambda=<value>`:
+    argparse takes a value such as -1/2, which its negative-number pattern
+    does not match, for an option.  An abbreviation such as --lam counts."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if len(prev) > 2 and "--lambda".startswith(prev) and arg.startswith("-"):
+            try:
+                Fraction(arg)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] = f"{prev}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         try:
-            args = _parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = _parser().parse_args(_join_negative_lambda(argv))
             code = args.fn(args)
         finally:
             # a buffered stdout meets a closed pipe here, not in the exit

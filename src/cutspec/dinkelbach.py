@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional
 
-from .errors import NotInOmega, TooLarge, UnknownProblem
+from .errors import DegenerateDenominator, NotInOmega, TooLarge, UnknownProblem
 from .eigen import verify
 from .functionals import PROBLEMS, Problem, RVector, ratio_objective
 from .graph import (
@@ -100,11 +100,8 @@ def solve(
     if problem_id not in PROBLEMS:
         raise UnknownProblem(f"no ratio decomposition for {problem_id!r}")
     problem = PROBLEMS[problem_id]
-    if x0 is None:
-        x0 = tuple(
-            Fraction(1) if i == 0 else ZERO for i in range(g.n)
-        )
-    x = project(problem, tuple(Fraction(t) for t in x0))
+    unit = lambda i: tuple(Fraction(1) if j == i else ZERO for j in range(g.n))
+    x = project(problem, unit(0) if x0 is None else tuple(Fraction(t) for t in x0))
     if not in_omega(problem, x):
         raise NotInOmega("initial vector not in the feasible set")
     big_l = lcm(*range(1, g.n + 1))
@@ -116,6 +113,9 @@ def solve(
         tables = mask_tables(g)
         ratios = ternary_ratios(tables, pairs, problem.ternary)
         fs, gs = _ternary_terms(pairs, ratios, big_l)
+        if 0 in gs:  # outside the ratio's domain
+            keep = [i for i, h in enumerate(gs) if h]
+            pairs, fs, gs = ([t[i] for i in keep] for t in (pairs, fs, gs))
         scale = tables[0] * big_l
         step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
     elif inner == "local_flip":
@@ -126,7 +126,22 @@ def solve(
         raise UnknownProblem(f"unknown inner solver {inner!r}")
 
     trace = DinkelbachTrace()
-    r = ratio_objective(problem_id, g, x)
+    try:
+        r = ratio_objective(problem_id, g, x)
+    except DegenerateDenominator:
+        # the default start e_0 lies outside the ratio's domain: start from
+        # the first projected unit vector inside it
+        if x0 is not None:
+            raise
+        for i in range(1, g.n):
+            x = project(problem, unit(i))
+            try:
+                r = ratio_objective(problem_id, g, x)
+                break
+            except DegenerateDenominator:
+                pass
+        else:
+            raise
     trace.iterations.append(
         {"k": 0, "r": r, "x": x, "inner_value": None}
     )
@@ -208,8 +223,15 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
                     if val > cur if maximize else val < cur:
                         (mask_a, mask_b), cur = move, val
                         improved = True
+        # a walk that ends at G = 0 ends outside the ratio's domain
+        if not _ternary_ratios(tables, [(mask_a, mask_b)], problem.ternary)[0][1]:
+            continue
         if best is None or (cur > best[1] if maximize else cur < best[1]):
             best = ((mask_a, mask_b), cur)
+    if best is None:
+        raise DegenerateDenominator(
+            f"{problem.ratio} ratio has denominator 0 at every local_flip restart"
+        )
     pair, val = best
     return pair, Fraction(val, q * tables[0] * big_l)
 

@@ -1,24 +1,38 @@
 """Exact verification of candidate eigenpairs for the nonlinear operators.
 
 Each eigenproblem is one linear feasibility system in the subgradient
-selections: an antisymmetric or symmetric edge selection z, a median
-selection v at the lowest median of x (every median gives the same
-feasible set), and slack variables for interval rows.  Systems are solved
-exactly over the rationals, so the verdict carries an exact witness
-whenever it is positive.
+selections, solved exactly over the rationals, so the verdict carries an
+exact witness whenever it is positive.  verify builds every system in
+three steps, which add their variables and rows in this order:
+
+  1. Edge selections: a symmetric z_ij in Sgn(x_i + x_j) or a difference
+     z_ij in Sgn(x_i - x_j), with w_ij z_ij in rows i and j, negated in
+     row j for a difference.  hat_signless has both: zs scaled by 1 - lam,
+     then zd scaled by -lam.
+  2. lam's term.  Sign rows put lam·mu_i·sign(x_i) on the right of row i,
+     or -lam·mu_i·v_i with a free v_i in [-1, 1] where x_i = 0.  A median
+     selection v_i in mu_i·Sgn(x_i - c) with sum v = 0, at the lowest
+     median c of x (every median gives the same feasible set), adds -lam·v_i
+     or +lam·v_i to row i.
+  3. The rows: every row equals its right side (zero but for sign rows), or
+     the sup-norm interval rows, where row i vanishes if |x_i| < ||x||_inf
+     and else equals sign(x_i)·s_i with a slack s_i in [0, b], the slacks
+     totalling b, for b = vol(V), lam·vol(V) or 2·lam·vol(V).
+
+Problem ids:
+  one_lap       difference selection, median term -lam, zero rows
+                (raw_one_lap: difference selection, sign rows)
+  signless      symmetric selection, sign rows
+  hat_signless  symmetric and difference selections, zero rows
+  cheeger_new   symmetric selection, median term +lam, interval rows, vol(V)
+  maxcut_inf    difference selection, interval rows, lam·vol(V)
+  anti_cheeger  difference selection, median term +lam, interval rows,
+                2·lam·vol(V)
 
 The ternary scans first run the simplex's row-range test in integers,
 from the signs of the candidate 1_A - 1_B and the scaled weights,
 measures and eigenvalue, without building a system; only the candidates
 it passes go to verify and the simplex.
-
-Problem ids:
-  one_lap       difference selection balanced against a median subgradient
-  signless      symmetric selection against the scaled sign of x
-  hat_signless  convex combination of symmetric and difference selections
-  cheeger_new   symmetric selection, median term, sup-norm interval rows
-  maxcut_inf    difference selection, sup-norm interval rows
-  anti_cheeger  difference selection, median term, doubled interval rows
 """
 
 from __future__ import annotations
@@ -89,10 +103,12 @@ def _sign(t: Fraction) -> int:
     return (t > 0) - (t < 0)
 
 
-def _add_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, symmetric, tag="z"):
+def _add_selection(
+    sys_: _System, g: Graph, x: RVector, row_coeffs, symmetric, tag="z", scale=None
+):
     """Edge selection z_ij in Sgn(x_i + x_j) when symmetric, else the
     antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u and +w z
-    (symmetric) or -w z to row v."""
+    (symmetric) or -w z to row v, w times scale when a scale is given."""
     for u, v, w in g.edges:
         s = _sign(x[u] + x[v] if symmetric else x[u] - x[v])
         idx = (
@@ -100,6 +116,8 @@ def _add_selection(sys_: _System, g: Graph, x: RVector, row_coeffs, symmetric, t
             if s
             else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
         )
+        if scale is not None:
+            w = scale * w
         row_coeffs[u][idx] = w
         row_coeffs[v][idx] = w if symmetric else -w
 
@@ -154,84 +172,6 @@ def _witness(sol: dict, lam, x, c=None, total=None) -> dict:
         # interval-row slacks rescaled to proportions in [0, 1]
         w["p"] = {k: val / total for k, val in w["s"].items()}
     return w
-
-
-def _verify_one_lap(g, lam, x):
-    sys_ = _System()
-    rows = [dict() for _ in range(g.n)]
-    _add_selection(sys_, g, x, rows, symmetric=False)
-    c, vidx = _add_median_selection(sys_, g, x)
-    for i in range(g.n):
-        rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) - lam
-        sys_.eq(rows[i], ZERO)
-    sol = sys_.solve()
-    return None if sol is None else _witness(sol, lam, x, c=c)
-
-
-def _verify_sign_system(g, lam, x, symmetric):
-    """signless (symmetric selection) and raw one_lap (difference
-    selection): row i equals lam * mu_i * sign(x_i), with a free v_i in
-    [-1, 1] in place of sign(x_i) where x_i = 0."""
-    sys_ = _System()
-    rows = [dict() for _ in range(g.n)]
-    _add_selection(sys_, g, x, rows, symmetric)
-    for i in range(g.n):
-        s = _sign(x[i])
-        if s:
-            sys_.eq(rows[i], lam * g.mu[i] * s)
-        else:
-            y = sys_.var(f"v[{i}]", -ONE, ONE)
-            rows[i][y] = -lam * g.mu[i]
-            sys_.eq(rows[i], ZERO)
-    sol = sys_.solve()
-    return None if sol is None else _witness(sol, lam, x)
-
-
-def _verify_hat_signless(g, lam, x):
-    sys_ = _System()
-    rows_sym = [dict() for _ in range(g.n)]
-    rows_diff = [dict() for _ in range(g.n)]
-    _add_selection(sys_, g, x, rows_sym, symmetric=True, tag="zs")
-    _add_selection(sys_, g, x, rows_diff, symmetric=False, tag="zd")
-    for i in range(g.n):
-        combined = {k: (ONE - lam) * a for k, a in rows_sym[i].items()}
-        for k, a in rows_diff[i].items():
-            combined[k] = combined.get(k, ZERO) - lam * a
-        sys_.eq(combined, ZERO)
-    sol = sys_.solve()
-    return None if sol is None else _witness(sol, lam, x)
-
-
-def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
-    """Shared core of the three sup-norm systems.
-
-    Row_i is the selection sum plus (when present) lam * v_i.  It must
-    vanish on D0, lie in bound * sign(x_i) * [0,1] on D+/D-, and the slacks
-    must total exactly bound.
-    """
-    _, d_plus, d_minus, d_zero = _sup_norm_classes(x)
-    sys_ = _System()
-    rows = [dict() for _ in range(g.n)]
-    _add_selection(sys_, g, x, rows, symmetric)
-    c = None
-    if with_median:
-        c, vidx = _add_median_selection(sys_, g, x)
-        for i in range(g.n):
-            rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) + lam
-    total_row = {}
-    for i in range(g.n):
-        if i in d_zero:
-            sys_.eq(rows[i], ZERO)
-        else:
-            sgn = ONE if i in d_plus else -ONE
-            s = sys_.var(f"s[{i}]", ZERO, bound)
-            row = {k: sgn * a for k, a in rows[i].items()}
-            row[s] = row.get(s, ZERO) - ONE
-            sys_.eq(row, ZERO)
-            total_row[s] = ONE
-    sys_.eq(total_row, bound)
-    sol = sys_.solve()
-    return None if sol is None else _witness(sol, lam, x, c=c, total=bound)
 
 
 def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
@@ -302,38 +242,61 @@ def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
 def verify(
     id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
 ) -> EigenpairReport:
-    """Decide whether (lam, x) solves the selected eigenproblem exactly."""
+    """Decide whether (lam, x) solves the selected eigenproblem exactly: build
+    its system, as the module docstring lists, and find a feasible point."""
     if all(t == 0 for t in x):
         raise ZeroVector("candidate eigenvector is zero")
     lam = Fraction(lam)
-    volV = vol(g, range(g.n))
-    if id == "one_lap" and raw_one_lap:
-        w = _verify_sign_system(g, lam, x, symmetric=False)
-    elif id == "one_lap":
-        w = _verify_one_lap(g, lam, x)
-    elif id == "signless":
-        w = _verify_sign_system(g, lam, x, symmetric=True)
-    elif id == "hat_signless":
-        w = _verify_hat_signless(g, lam, x)
-    elif id == "cheeger_new":
-        w = _verify_sup_norm_system(
-            g, lam, x, symmetric=True, with_median=True, bound=volV
-        )
-    elif id == "maxcut_inf":
-        w = _verify_sup_norm_system(
-            g, lam, x, symmetric=False, with_median=False, bound=lam * volV
-        )
-    elif id == "anti_cheeger":
-        w = _verify_sup_norm_system(
-            g, lam, x, symmetric=False, with_median=True, bound=2 * lam * volV
-        )
-    else:
+    if id not in EIGENPROBLEMS:
         raise UnknownProblem(f"unknown eigenproblem {id!r}")
-    if w is None:
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    rhs = [ZERO] * g.n
+    if id == "hat_signless":
+        _add_selection(sys_, g, x, rows, True, "zs", scale=ONE - lam)
+        _add_selection(sys_, g, x, rows, False, "zd", scale=-lam)
+    else:
+        _add_selection(sys_, g, x, rows, id in ("signless", "cheeger_new"))
+    c = None
+    if id == "signless" or id == "one_lap" and raw_one_lap:
+        for i in range(g.n):
+            s = _sign(x[i])
+            if s:
+                rhs[i] = lam * g.mu[i] * s
+            else:
+                rows[i][sys_.var(f"v[{i}]", -ONE, ONE)] = -lam * g.mu[i]
+    elif id in ("one_lap", "cheeger_new", "anti_cheeger"):
+        c, vidx = _add_median_selection(sys_, g, x)
+        term = -lam if id == "one_lap" else lam
+        for i in range(g.n):
+            rows[i][vidx[i]] = term
+    bound = None
+    if id in ("cheeger_new", "maxcut_inf", "anti_cheeger"):
+        bound = vol(g, range(g.n))
+        if id != "cheeger_new":
+            bound *= lam if id == "maxcut_inf" else 2 * lam
+        _, d_plus, _, d_zero = _sup_norm_classes(x)
+        total_row = {}
+    for i in range(g.n):
+        if bound is None or i in d_zero:
+            sys_.eq(rows[i], rhs[i])
+        else:
+            sgn = ONE if i in d_plus else -ONE
+            s = sys_.var(f"s[{i}]", ZERO, bound)
+            row = {k: sgn * a for k, a in rows[i].items()}
+            row[s] = -ONE
+            sys_.eq(row, ZERO)
+            total_row[s] = ONE
+    if bound is not None:
+        sys_.eq(total_row, bound)
+    sol = sys_.solve()
+    if sol is None:
         return EigenpairReport(
             verdict=False, lam=lam, x=x, violated="no feasible selection"
         )
-    return EigenpairReport(verdict=True, lam=lam, x=x, witness=w)
+    return EigenpairReport(
+        verdict=True, lam=lam, x=x, witness=_witness(sol, lam, x, c=c, total=bound)
+    )
 
 
 def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector:

@@ -20,6 +20,7 @@ from .errors import (
     OverlappingSets,
     ParseError,
     SelfLoop,
+    UsageError,
 )
 
 VertexSet = frozenset  # sets of vertex ids in [0, n)
@@ -60,11 +61,7 @@ class Graph:
             merged[key] = merged.get(key, Fraction(0)) + w
         edge_tuple = tuple(sorted((u, v, w) for (u, v), w in merged.items()))
         if mu is None:
-            deg = [Fraction(0)] * n
-            for u, v, w in edge_tuple:
-                deg[u] += w
-                deg[v] += w
-            mu = deg
+            mu = weighted_degrees(n, edge_tuple)
         else:
             mu = [Fraction(x) for x in mu]
             if len(mu) != n:
@@ -74,9 +71,6 @@ class Graph:
         return Graph(n=n, edges=edge_tuple, mu=tuple(mu))
 
     # -- basic quantities ---------------------------------------------------
-
-    def degree(self, i: int) -> Fraction:
-        return sum((w for u, v, w in self.edges if i in (u, v)), Fraction(0))
 
     def adjacency(self):
         """Neighbour lists as {u: [(v, w), ...]} built once per call."""
@@ -95,6 +89,24 @@ class Graph:
 
     def vertices(self) -> VertexSet:
         return frozenset(range(self.n))
+
+
+def weighted_degrees(n: int, edges: Iterable[tuple]) -> list:
+    """The weighted degree of every vertex, from (u, v, w) edges."""
+    deg = [Fraction(0)] * n
+    for u, v, w in edges:
+        deg[u] += w
+        deg[v] += w
+    return deg
+
+
+def require_degree_measure(g: Graph, what: str):
+    """Raise UsageError unless mu is the weighted degree, the one measure
+    for which `what` (a spectral command or a dual ratio oracle) holds."""
+    if list(g.mu) != weighted_degrees(g.n, g.edges):
+        raise UsageError(
+            f"{what} needs the degree measure: --measure differs from the weighted degree"
+        )
 
 
 def vol(g: Graph, s: Iterable[int]) -> Fraction:
@@ -515,10 +527,7 @@ def parse_graph(text: str, measure_text: Optional[str] = None) -> Graph:
                 raise ParseError(f"vertex id {i} out of range with n={n}", line=lineno)
             mu_map[i] = parse_rational(parts[1])
         # default unspecified vertices to weighted degree
-        deg = [Fraction(0)] * n
-        for u, v, w in raw_edges:
-            deg[u] += w
-            deg[v] += w
+        deg = weighted_degrees(n, raw_edges)
         mu = [mu_map.get(i, deg[i]) for i in range(n)]
     return Graph.build(n, raw_edges, mu=mu)
 

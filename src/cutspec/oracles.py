@@ -19,7 +19,9 @@ from typing import Optional
 
 from .errors import BadK, Disconnected, TooLarge, UnknownProblem, ZeroMeasure
 from .functionals import PROBLEMS
-from .graph import Graph, is_connected, lazy_mask_tables, mask_members, mask_tables
+from .graph import (
+    Graph, is_connected, lazy_mask_tables, mask_members, mask_tables, require_degree_measure
+)
 
 DEFAULT_SUBSET_CAP = 20
 DEFAULT_PAIR_CAP = 14
@@ -317,10 +319,13 @@ ORACLES = {
 
 def ratio_oracle(problem_id: str, g: Graph, cap: Optional[int] = None) -> CutCertificate:
     """Combinatorial optimum of the continuous ratio objective: the cut
-    constant itself, or 1 minus it for the two dual forms."""
+    constant itself, or 1 minus it for the two dual forms, whose optimum is
+    1 - h+ for the degree measure only."""
     if problem_id not in PROBLEMS:
         raise UnknownProblem(f"no oracle registered for {problem_id!r}")
     problem = PROBLEMS[problem_id]
+    if problem.dual:
+        require_degree_measure(g, f"ratio:{problem_id}")
     fn = ORACLES[problem.oracle]
     cert = fn(g) if cap is None else fn(g, cap)
     if problem.dual:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional
 
 from .errors import BadK, IsolatedVertex, TooLarge
-from .graph import Graph, graph_params, is_bipartite, is_forest, vol
+from .graph import Graph, graph_params, is_forest, vol, weighted_degrees
 from . import oracles
 from .eigen import spectrum_scan
+from .functionals import indicator
 from .nodal import analyze
 
 if TYPE_CHECKING:
@@ -133,11 +133,9 @@ def normalized_laplacian_spectrum(g: Graph, want_vectors: bool = True) -> Spectr
 
     if g.n > SIZE_CAP:
         raise TooLarge(f"dense eigensolver capped at n={SIZE_CAP}")
-    deg = [Fraction(0)] * g.n
+    deg = weighted_degrees(g.n, g.edges)
     w = np.zeros((g.n, g.n))
     for u, vtx, wt in g.edges:
-        deg[u] += wt
-        deg[vtx] += wt
         w[u, vtx] = w[vtx, u] = float(wt)
     if any(d == 0 for d in deg):
         raise IsolatedVertex("normalized Laplacian needs positive degrees")
@@ -175,16 +173,13 @@ def inequality_suite(g: Graph) -> List[InequalityReport]:
         )
     )
 
+    def sandwich(name, k, hk, detail):
+        # c^2/2 <= 2 - lambda_{n-k+1} <= 2c with c = 1 - h_k+
+        c = 1 - float(hk)
+        return _report(name, c**2 / 2, 2 - lam[g.n - k], 2 * c, detail)
+
     hplus = oracles.dual_cheeger(g).value
-    out.append(
-        _report(
-            "dual_cheeger",
-            (1 - float(hplus)) ** 2 / 2,
-            2 - lam[-1],
-            2 * (1 - float(hplus)),
-            {"h_plus": str(hplus)},
-        )
-    )
+    out.append(sandwich("dual_cheeger", 1, hplus, {"h_plus": str(hplus)}))
 
     hmax = oracles.maxcut(g).value
     out.append(
@@ -204,27 +199,12 @@ def inequality_suite(g: Graph) -> List[InequalityReport]:
                 hk = oracles.k_way_dual_cheeger(g, k).value
             except (BadK, TooLarge):
                 break
-            ck = 1 - float(hk)
             out.append(
-                _report(
-                    f"forest_sandwich_k{k}",
-                    ck**2 / 2,
-                    2 - lam[g.n - k],
-                    2 * ck,
-                    {"h_k_plus": str(hk), "k": k},
-                )
+                sandwich(f"forest_sandwich_k{k}", k, hk, {"h_k_plus": str(hk), "k": k})
             )
     else:
         # k = 1 is exact on every graph
-        out.append(
-            _report(
-                "sandwich_k1",
-                (1 - float(hplus)) ** 2 / 2,
-                2 - lam[-1],
-                2 * (1 - float(hplus)),
-                {"h_plus": str(hplus)},
-            )
-        )
+        out.append(sandwich("sandwich_k1", 1, hplus, {"h_plus": str(hplus)}))
     return out
 
 
@@ -234,11 +214,7 @@ def kway_nodal_reports(g: Graph) -> List[InequalityReport]:
     1 - h_m+ <= c, reported for each m the k-way oracle accepts."""
     out = []
     for value, cert in spectrum_scan("signless", g):
-        a, b = cert.sets
-        x = tuple(
-            Fraction(1) if i in a else Fraction(-1) if i in b else Fraction(0)
-            for i in range(g.n)
-        )
+        x = indicator(g, *cert.sets)
         m = len(analyze(g, x, "support_based").support_domains)
         try:
             hm = oracles.k_way_dual_cheeger(g, m).value

@@ -222,10 +222,22 @@ def test_zero_denominators_exit_1(tmp_path, capsys):
         ["cut", "dual", "--graph", str(edgeless)],
         ["oracle", "dual_cheeger", *zero_mu],
         ["oracle", "k_way_dual_cheeger", *zero_mu],
-        ["cut", "dual", *zero_mu],
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    # Dinkelbach skips the candidates of denominator 0, as {0} is here
+    assert cli.main(["cut", "dual", *zero_mu]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "0"
+
+
+def test_cut_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
+    graph = tmp_path / "p3_and_isolated.txt"
+    graph.write_text("n 4\n1 2\n2 3\n")  # vertex 0 has degree and measure 0
+    for problem in sorted(fn.PROBLEMS):
+        for inner in ("exact", "flip"):
+            argv = ["cut", problem, "--graph", str(graph), "--inner", inner]
+            assert cli.main(argv) == 0, argv
+            assert json.loads(capsys.readouterr().out)["converged"], argv
 
 
 @pytest.mark.parametrize(
@@ -351,6 +363,54 @@ def test_spectral_commands_need_degree_measure(tmp_path, capsys):
         with_measure = capsys.readouterr().out
         assert cli.main([cmd, "--graph", graph]) == 0, cmd
         assert capsys.readouterr().out == with_measure
+
+
+def test_dual_ratio_oracles_need_degree_measure(tmp_path, capsys):
+    """1 - h+ is the dual ratios' optimum for the degree measure only: under
+    another one it reads -5/3 here, for a ratio that is never negative."""
+    graph = tmp_path / "triangle.txt"
+    graph.write_text("0 1\n0 2 1/2\n1 2 2\n")
+    custom = tmp_path / "custom.txt"
+    custom.write_text("0 1\n1 1\n2 1/2\n")
+    gm = ["--graph", str(graph), "--measure", str(custom)]
+    for problem in ("dual", "mdual"):
+        assert cli.main(["oracle", f"ratio:{problem}", *gm]) == 2, problem
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            f"error: ratio:{problem} needs the degree measure: "
+            "--measure differs from the weighted degree\n"
+        )
+        assert cli.main(["oracle", f"ratio:{problem}", "--graph", str(graph)]) == 0, problem
+        capsys.readouterr()
+    assert cli.main(["oracle", "ratio:cheeger_tv", *gm]) == 0
+    ratio = capsys.readouterr().out
+    assert cli.main(["oracle", "cheeger", *gm]) == 0
+    assert capsys.readouterr().out == ratio
+
+
+def test_cap_zero_means_no_cap(capsys):
+    graph = ["--graph", str(CORPUS / "cycle5.txt")]
+    for argv in (["oracle", "cheeger"], ["oracle", "ratio:cheeger_tv"], ["cut", "dual"], ["scan", "signless"]):
+        assert cli.main([*argv, *graph]) == 0, argv
+        unset = capsys.readouterr().out
+        assert cli.main(["--cap", "0", *argv, *graph]) == 0, argv
+        assert capsys.readouterr().out == unset, argv
+
+
+def test_negative_lambda_after_a_space(tmp_path, capsys):
+    vector = tmp_path / "x.txt"
+    vector.write_text("0 1\n1 1\n2 -1\n3 -1\n")
+    common = ["verify", "signless", "--graph", str(CORPUS / "path4.txt"), "--vector", str(vector)]
+    for lam in ("-1/2", "-1", "-3/2"):
+        assert cli.main([*common, "--lambda", lam]) == 0, lam
+        spaced = capsys.readouterr().out
+        assert json.loads(spaced)["lambda"] == lam
+        for same in ([f"--lambda={lam}"], ["--lam", lam]):
+            assert cli.main([*common, *same]) == 0, same
+            assert capsys.readouterr().out == spaced
+    # an option after --lambda is still a missing value
+    res = run(["verify", "signless", "--graph", str(CORPUS / "path4.txt"), "--lambda", "--vector", str(vector)])
+    assert res.returncode == 2 and "--lambda: expected one argument" in res.stderr
 
 
 def _check_reports(argv, capsys):

@@ -10,6 +10,7 @@ the matching typed error instead.
 """
 
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from itertools import product
 from unittest import mock
@@ -23,7 +24,28 @@ from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
-from cutspec.errors import BadK, CutspecError, DegenerateDenominator, TooLarge, ZeroMeasure
+from cutspec.eigen import (
+    ONE,
+    ZERO,
+    EigenpairReport,
+    _System,
+    _add_median_selection,
+    _add_selection,
+    _sign,
+    _sup_norm_classes,
+    _witness,
+)
+from cutspec.errors import (
+    BadK,
+    CutspecError,
+    DegenerateDenominator,
+    TooLarge,
+    UnknownProblem,
+    ZeroMeasure,
+    ZeroVector,
+)
+from cutspec.functionals import RVector
+from cutspec.graph import Graph, vol
 from cutspec.simplex import _rows_in_reach
 
 SETTINGS = settings(
@@ -324,20 +346,34 @@ SPLITS = {
 }
 
 
+def ref_start(p, g, q):
+    """The first projected unit vector e_i where the ratio q is defined, and
+    q there; a ZeroDivisionError when q is defined at none."""
+    for i in range(g.n):
+        x = dk.project(p, tuple(F(int(j == i)) for j in range(g.n)))
+        try:
+            return x, q(x)
+        except ZeroDivisionError:
+            if i == g.n - 1:
+                raise
+
+
 def ref_dinkelbach(pid, g):
     """Exact-enumeration Dinkelbach with every candidate scored by the
-    problem's f1, f2, g1 and g2 on the candidate vector."""
+    problem's f1, f2, g1 and g2 on the candidate vector; candidates where
+    the denominator g1 - g2 is 0 lie outside the ratio's domain."""
     p = fn.PROBLEMS[pid]
     f1, f2, g1, g2 = SPLITS[pid]
     q = lambda x: (f1(g, x) - f2(g, x)) / (g1(g, x) - g2(g, x))
-    x = dk.project(p, tuple(F(int(i == 0)) for i in range(g.n)))
-    r = q(x)
+    x, r = ref_start(p, g, q)
     iterations = [(r, None, x)]
     pairs = gr.ternary_pairs(g.n, p.domain_kind)
     while True:
         best = None
         for a, b in pairs:
             y = dk._pair_vector(g, a, b)
+            if g1(g, y) == g2(g, y):
+                continue
             val = f1(g, y) + r * g2(g, y) - f2(g, y) - r * g1(g, y)
             if best is None or (val > best[1] if p.opt == "max" else val < best[1]):
                 best = ((a, b), val)
@@ -354,7 +390,8 @@ def ref_flip_solve(pid, g, seed, restarts):
     """Dinkelbach with the local_flip inner step as a Fraction loop: every
     move scored by the problem's f1, f2, g1 and g2 on its vector, the same
     random starts, move order and strict-improvement rule; an infeasible
-    start is repaired to the disjoint pair A ∋ 0, B ∋ 1."""
+    start is repaired to the disjoint pair A ∋ 0, B ∋ 1.  A walk that ends
+    where the denominator g1 - g2 is 0 cannot be the best."""
     p = fn.PROBLEMS[pid]
     f1, f2, g1, g2 = SPLITS[pid]
     n = g.n
@@ -369,8 +406,7 @@ def ref_flip_solve(pid, g, seed, restarts):
         return f1(g, y) + r * g2(g, y) - f2(g, y) - r * g1(g, y)
 
     rng = random.Random(seed)
-    x = dk.project(p, tuple(F(int(i == 0)) for i in range(n)))
-    r = q(x)
+    x, r = ref_start(p, g, q)
     iterations = [(r, None, x)]
     while True:
         best = None
@@ -395,8 +431,11 @@ def ref_flip_solve(pid, g, seed, restarts):
                         val = value(na, nb, r)
                         if better(val, cur):
                             a, b, cur, improved = na, nb, val, True
-            if best is None or better(cur, best[1]):
+            y = dk._pair_vector(g, a, b)
+            if g1(g, y) != g2(g, y) and (best is None or better(cur, best[1])):
                 best = ((a, b), cur)
+        if best is None:
+            raise ZeroDivisionError
         (a, b), val = best
         x = dk._pair_vector(g, a, b)
         r_next = q(x)
@@ -500,15 +539,132 @@ def test_minmax_k_cut_matches_reference(gk, require_partition):
     assert got == outcome(lambda: kind_and_cert(ref_minmax), ZeroMeasure)
 
 
-def built_systems(sid, g, lam, x):
+def built_systems(sid, g, lam, x, verify=eg.verify, raw_one_lap=False):
     """The (bounds, rows) of every system verify builds for (lam, x): each
     is recorded and reported infeasible, so one_lap builds all its median
     systems."""
     systems = []
     record = lambda bounds, rows: systems.append((bounds, rows))
     with mock.patch.object(eg, "find_feasible", record):
-        eg.verify(sid, g, lam, x)
+        verify(sid, g, lam, x, raw_one_lap=raw_one_lap)
     return systems
+
+
+# The four system builders and the dispatch that eigen.verify replaced with
+# one builder, copied unchanged as the reference for its systems and reports.
+def _verify_one_lap(g, lam, x):
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    _add_selection(sys_, g, x, rows, symmetric=False)
+    c, vidx = _add_median_selection(sys_, g, x)
+    for i in range(g.n):
+        rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) - lam
+        sys_.eq(rows[i], ZERO)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x, c=c)
+
+
+def _verify_sign_system(g, lam, x, symmetric):
+    """signless (symmetric selection) and raw one_lap (difference
+    selection): row i equals lam * mu_i * sign(x_i), with a free v_i in
+    [-1, 1] in place of sign(x_i) where x_i = 0."""
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    _add_selection(sys_, g, x, rows, symmetric)
+    for i in range(g.n):
+        s = _sign(x[i])
+        if s:
+            sys_.eq(rows[i], lam * g.mu[i] * s)
+        else:
+            y = sys_.var(f"v[{i}]", -ONE, ONE)
+            rows[i][y] = -lam * g.mu[i]
+            sys_.eq(rows[i], ZERO)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x)
+
+
+def _verify_hat_signless(g, lam, x):
+    sys_ = _System()
+    rows_sym = [dict() for _ in range(g.n)]
+    rows_diff = [dict() for _ in range(g.n)]
+    _add_selection(sys_, g, x, rows_sym, symmetric=True, tag="zs")
+    _add_selection(sys_, g, x, rows_diff, symmetric=False, tag="zd")
+    for i in range(g.n):
+        combined = {k: (ONE - lam) * a for k, a in rows_sym[i].items()}
+        for k, a in rows_diff[i].items():
+            combined[k] = combined.get(k, ZERO) - lam * a
+        sys_.eq(combined, ZERO)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x)
+
+
+def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
+    """Shared core of the three sup-norm systems.
+
+    Row_i is the selection sum plus (when present) lam * v_i.  It must
+    vanish on D0, lie in bound * sign(x_i) * [0,1] on D+/D-, and the slacks
+    must total exactly bound.
+    """
+    _, d_plus, d_minus, d_zero = _sup_norm_classes(x)
+    sys_ = _System()
+    rows = [dict() for _ in range(g.n)]
+    _add_selection(sys_, g, x, rows, symmetric)
+    c = None
+    if with_median:
+        c, vidx = _add_median_selection(sys_, g, x)
+        for i in range(g.n):
+            rows[i][vidx[i]] = rows[i].get(vidx[i], ZERO) + lam
+    total_row = {}
+    for i in range(g.n):
+        if i in d_zero:
+            sys_.eq(rows[i], ZERO)
+        else:
+            sgn = ONE if i in d_plus else -ONE
+            s = sys_.var(f"s[{i}]", ZERO, bound)
+            row = {k: sgn * a for k, a in rows[i].items()}
+            row[s] = row.get(s, ZERO) - ONE
+            sys_.eq(row, ZERO)
+            total_row[s] = ONE
+    sys_.eq(total_row, bound)
+    sol = sys_.solve()
+    return None if sol is None else _witness(sol, lam, x, c=c, total=bound)
+
+
+def ref_verify(
+    id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
+) -> EigenpairReport:
+    """Decide whether (lam, x) solves the selected eigenproblem exactly."""
+    if all(t == 0 for t in x):
+        raise ZeroVector("candidate eigenvector is zero")
+    lam = Fraction(lam)
+    volV = vol(g, range(g.n))
+    if id == "one_lap" and raw_one_lap:
+        w = _verify_sign_system(g, lam, x, symmetric=False)
+    elif id == "one_lap":
+        w = _verify_one_lap(g, lam, x)
+    elif id == "signless":
+        w = _verify_sign_system(g, lam, x, symmetric=True)
+    elif id == "hat_signless":
+        w = _verify_hat_signless(g, lam, x)
+    elif id == "cheeger_new":
+        w = _verify_sup_norm_system(
+            g, lam, x, symmetric=True, with_median=True, bound=volV
+        )
+    elif id == "maxcut_inf":
+        w = _verify_sup_norm_system(
+            g, lam, x, symmetric=False, with_median=False, bound=lam * volV
+        )
+    elif id == "anti_cheeger":
+        w = _verify_sup_norm_system(
+            g, lam, x, symmetric=False, with_median=True, bound=2 * lam * volV
+        )
+    else:
+        raise UnknownProblem(f"unknown eigenproblem {id!r}")
+    if w is None:
+        return EigenpairReport(
+            verdict=False, lam=lam, x=x, violated="no feasible selection"
+        )
+    return EigenpairReport(verdict=True, lam=lam, x=x, witness=w)
 
 
 @SETTINGS
@@ -538,6 +694,50 @@ def test_row_range_test_matches_built_systems(g, off):
                 systems = built_systems(sid, g, lam, x)
                 assert got == any(_rows_in_reach(*s) for s in systems), (sid, a, b, lam)
                 assert got or not eg.verify(sid, g, lam, x).verdict, (sid, a, b, lam)
+
+
+def _systems_and_report(verify, sid, g, lam, x, raw_one_lap):
+    """verify's systems, with every row's coefficients in insertion order,
+    and its report (verdict, lam, violated text, witness with its key
+    order), or the error's type and text."""
+    try:
+        systems = [
+            (bounds, [(list(coeffs.items()), rhs) for coeffs, rhs in rows])
+            for bounds, rows in built_systems(sid, g, lam, x, verify, raw_one_lap)
+        ]
+        rep = verify(sid, g, lam, x, raw_one_lap=raw_one_lap)
+    except CutspecError as exc:
+        return type(exc), str(exc)
+    return systems, (rep.verdict, rep.lam, rep.violated, repr(rep.witness))
+
+
+VECTORS = st.one_of(
+    st.lists(st.sampled_from((F(-1), F(0), F(1))), min_size=5, max_size=5),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=5, max_size=5),
+)
+
+
+@SETTINGS
+@given(graphs(max_n=5), VECTORS, st.fractions(min_value=-2, max_value=3, max_denominator=4))
+@example(EDGELESS, [F(1), F(-1), 0, 0, 0], F(1))
+@example(ZERO_MU_PATH, [F(1), F(0), F(-1), 0, 0], F(1, 2))
+@example(WEIGHTED, [F(1), F(1, 2), F(-1), F(0), 0], F(2, 3))
+@example(DISCONNECTED, [F(0), F(0), F(0), F(0), F(0)], F(0))
+def test_one_builder_matches_the_four_builders(g, vals, off):
+    """verify builds the system of ref_verify, variable for variable and row
+    for row, and reports the same verdict, witness or error, for every id,
+    raw one_lap and an unknown id, at the ratio's value and at another."""
+    x = tuple(vals[: g.n])
+    for sid, raw in [*((sid, False) for sid in sorted(fn.EIGENPROBLEMS)), ("one_lap", True), ("nope", False)]:
+        lams = {off}
+        if sid in fn.EIGENPROBLEMS:
+            try:
+                lams.add(fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x))
+            except CutspecError:
+                pass
+        for lam in lams:
+            got = _systems_and_report(eg.verify, sid, g, lam, x, raw)
+            assert got == _systems_and_report(ref_verify, sid, g, lam, x, raw), (sid, raw, lam)
 
 
 def ref_verify_with_midpoint(sid, g, lam, x):
@@ -602,6 +802,23 @@ def test_ternary_pairs_in_certificate_order(kind):
 def test_dinkelbach_iterations_match_reference(g, pid):
     got = outcome(lambda: kernel_dinkelbach(pid, g), DegenerateDenominator)
     assert got == outcome(lambda: ref_dinkelbach(pid, g), DegenerateDenominator)
+
+
+@SETTINGS
+@given(graphs(max_n=5), st.sampled_from(sorted(fn.PROBLEMS)))
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]), "dual")
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]), "cheeger_tv")
+@example(EDGELESS, "mdual")
+def test_dinkelbach_equals_ratio_oracle_under_degree_measure(g, pid):
+    """With mu the weighted degree, exact Dinkelbach reaches the ratio
+    oracle's value wherever the oracle answers, isolated vertices (of
+    measure zero) included."""
+    g = gr.Graph.build(g.n, g.edges)
+    try:
+        want = orc.ratio_oracle(pid, g).value
+    except CutspecError:
+        return
+    assert dk.solve(pid, g).final.value == want
 
 
 @SETTINGS
@@ -672,5 +889,8 @@ def test_zero_measure_is_typed(g):
         orc.dual_cheeger(g)
     with pytest.raises(ZeroMeasure):
         orc.k_way_dual_cheeger(g, 1)
-    with pytest.raises(DegenerateDenominator):
-        dk.solve("dual", g)
+    if g is EDGELESS:
+        with pytest.raises(DegenerateDenominator):
+            dk.solve("dual", g)
+    else:  # a candidate outside vertex 0 has a nonzero denominator
+        assert dk.solve("dual", g).final.value == 0

@@ -46,7 +46,7 @@ def test_spectrum_range_and_kernel():
             if rng.random() < 0.5
         ]
         g = gr.Graph.build(n, edges)
-        if any(g.degree(i) == 0 for i in range(n)):
+        if 0 in g.mu:  # the degree measure
             continue
         spec = sp.normalized_laplacian_spectrum(g, want_vectors=False)
         vals = spec.eigenvalues
