@@ -57,10 +57,6 @@ class DegenerateDenominator(CutspecError):
     pass
 
 
-class NotVerified(CutspecError):
-    pass
-
-
 class NotInOmega(CutspecError):
     pass
 

@@ -1,5 +1,4 @@
-"""One-homogeneous vertex functionals, the set-pair Lovasz extension and
-the problem registry.
+"""One-homogeneous vertex functionals and the problem registry.
 
 All values are exact rationals.  An RVector is a tuple of Fractions of
 length g.n.  Medians are mu-weighted, and median_interval returns the
@@ -89,26 +88,6 @@ def median_distance(g: Graph, x: RVector) -> Fraction:
     """N(x) = min_t sum mu_i |x_i - t|, evaluated at a median."""
     lo, _ = median_interval(g, x)
     return sum((g.mu[i] * abs(x[i] - lo) for i in range(g.n)), Fraction(0))
-
-
-def lovasz_extension(g: Graph, f: Callable, x: RVector) -> Fraction:
-    """Set-pair Lovasz extension of f at x.
-
-    Sort |x| ascending (stable by vertex id) with a zero sentinel; at each
-    level t the pair ({x > t}, {x < -t}) is weighted by the increment of t.
-    """
-    order = sorted(range(g.n), key=lambda i: (abs(x[i]), i))
-    levels = [Fraction(0)] + [abs(x[i]) for i in order]
-    total = Fraction(0)
-    for k in range(g.n):
-        inc = levels[k + 1] - levels[k]
-        if inc == 0:
-            continue
-        t = levels[k]
-        pos = frozenset(j for j in range(g.n) if x[j] > t)
-        neg = frozenset(j for j in range(g.n) if -x[j] > t)
-        total += inc * f(pos, neg)
-    return total
 
 
 @dataclass(frozen=True)

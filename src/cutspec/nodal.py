@@ -1,4 +1,4 @@
-"""Nodal domain statistics and structure checks for verified eigenpairs.
+"""Nodal domain statistics for candidate eigenvectors.
 
 Three conventions:
   sign_based      components of {x > 0} and {x < 0}
@@ -6,20 +6,16 @@ Three conventions:
   sup_norm_based  components of the extreme-value sets D+, D-, D0
 
 Connectivity always refers to edges of positive weight within the set.
-The check_* operations refuse to run without a positive verification
-verdict so theorems are only asserted on actual eigenpairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional
+from dataclasses import dataclass
 
-from .errors import NotVerified, ZeroVector
-from .eigen import EigenpairReport, _sup_norm_classes, verify
-from .functionals import RVector, sup_norm
-from .graph import Graph, boundary, connected_components, cut_weight, intra_weight
+from .errors import ZeroVector
+from .eigen import _sup_norm_classes
+from .functionals import RVector
+from .graph import Graph, connected_components
 
 
 @dataclass
@@ -83,69 +79,3 @@ def analyze(g: Graph, x: RVector, convention: str = "sign_based") -> NodalReport
         Sprime=len(pm_domains),
         N_nonsingleton=n_nonsingleton,
     )
-
-
-def _require_verified(report: EigenpairReport, x: RVector):
-    if report is None or not report.verdict or tuple(report.x) != tuple(x):
-        raise NotVerified("structure checks need a verified eigenpair for x")
-
-
-def check_null_symmetry(g: Graph, x: RVector, verified: EigenpairReport) -> bool:
-    """Each null component sees equal edge weight from D+ and from D-."""
-    _require_verified(verified, x)
-    rep = analyze(g, x, "sup_norm_based")
-    return all(
-        cut_weight(g, rep.d_plus, omega) == cut_weight(g, rep.d_minus, omega)
-        for omega in rep.null_domains
-    )
-
-
-def check_max_eigvec_structure(
-    g: Graph,
-    x: RVector,
-    verified: EigenpairReport,
-    problem_id: str,
-    k: Optional[int] = None,
-    r: Optional[int] = None,
-    flip_closure: bool = True,
-) -> dict:
-    """Structure assertions at the extreme eigenvalue.
-
-    Returns a dict of named booleans; flip_closure re-verifies all 2^S'
-    componentwise sign flips, which the caller can disable for large S'.
-    """
-    _require_verified(verified, x)
-    rep = analyze(g, x, "sup_norm_based")
-    out = {}
-    splits = [rep.split(d) for d in rep.pm_domains]
-    out["boundary_balance"] = all(
-        boundary(g, a) == boundary(g, b) for a, b in splits
-    )
-    out["null_vertex_balance"] = all(
-        cut_weight(g, a, {v}) == cut_weight(g, b, {v})
-        for a, b in splits
-        for v in rep.d_zero
-    )
-    out["d_zero_edgeless"] = intra_weight(g, rep.d_zero) == 0
-    out["null_singletons"] = rep.N_nonsingleton == 0
-    if g.n >= 3:
-        out["sprime_bound"] = 2 * rep.Sprime <= g.n - 1
-    if flip_closure:
-        m = sup_norm(x)
-        ok = True
-        for mask in range(1 << len(splits)):
-            y = [Fraction(0)] * g.n
-            for bit, (a, b) in enumerate(splits):
-                sgn = -1 if mask >> bit & 1 else 1
-                for v in a:
-                    y[v] = sgn * m
-                for v in b:
-                    y[v] = -sgn * m
-            if not verify(problem_id, g, verified.lam, tuple(y)).verdict:
-                ok = False
-                break
-        out["flip_closure"] = ok
-    if k is not None and r is not None:
-        out["courant_S"] = rep.S <= k + r - 1
-        out["courant_S0"] = rep.S0 <= k + r - 2
-    return out

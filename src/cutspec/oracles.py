@@ -41,11 +41,13 @@ class CutCertificate:
 def _best_ratio(candidates, maximize, key):
     """Optimum of num/den over candidates (num, den, item), compared by
     integer cross-multiplication; ties go to the item of smallest key(item),
-    which is computed only when a tie occurs.  Returns (num, den, item)."""
+    which is computed only when a tie occurs.  Returns (num, den, item).
+    A zero denominator, or no candidate at all, raises ZeroMeasure."""
     best = None  # [num, den, item, key or None]
     for num, den, item in candidates:
         if den == 0:
-            raise ZeroMeasure("a ratio denominator is zero: some vertex set has measure zero")
+            best = None
+            break
         if best is None:
             best = [num, den, item, None]
             continue
@@ -58,6 +60,8 @@ def _best_ratio(candidates, maximize, key):
                 best = [num, den, item, k]
         elif (diff > 0) == maximize:
             best = [num, den, item, None]
+    if best is None:
+        raise ZeroMeasure("a ratio denominator is zero: some vertex set has measure zero")
     return best[0], best[1], best[2]
 
 
@@ -143,16 +147,22 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
     """max over disjoint (A, B), A ∪ B = U nonempty, of
     (2·w(A, B) + bnd) / (vol(U) + bnd), where bnd = cut(U) when modified
     and 0 otherwise.  With 2·w(A, B) = cut(A) + cut(B) - cut(U), every U
-    is decided by its best split."""
+    is decided by its best split.  A U of denominator 0 is a 0/0 pair,
+    outside the ratio's domain, and is skipped, as Dinkelbach skips G = 0;
+    ZeroMeasure is raised only when every U has denominator 0."""
     if g.n > cap:
         raise TooLarge(f"pair oracle capped at n={cap}")
     _, cut, _, volm = mask_tables(g)
     best_split = _split_max(g.n, cut)
 
-    def ratio(u):
-        if modified:
-            return best_split[u], volm[u] + cut[u]
-        return best_split[u] - cut[u], volm[u]
+    def candidates():
+        for u in range(1, 1 << g.n):
+            if modified:
+                num, den = best_split[u], volm[u] + cut[u]
+            else:
+                num, den = best_split[u] - cut[u], volm[u]
+            if den:
+                yield num, den, u
 
     def key(u):  # smallest serialized (A, B) among U's best splits
         return min(
@@ -161,9 +171,7 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
             if cut[a] + cut[b] == best_split[u]
         )
 
-    num, den, u = _best_ratio(
-        ((*ratio(u), u) for u in range(1, 1 << g.n)), maximize=True, key=key
-    )
+    num, den, u = _best_ratio(candidates(), maximize=True, key=key)
     a, b = key(u)
     return CutCertificate(
         kind="set_pair", sets=(frozenset(a), frozenset(b)), value=Fraction(num, den)
@@ -187,6 +195,8 @@ def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:
     F, so the optimum is best[k][V].  The certificate is then built pair by
     pair: each takes the smallest serialized (A_j, B_j) whose ratio reaches
     the optimum and whose remaining vertices still hold the other pairs.
+    Unlike the pair oracles, it refuses any vertex of measure zero, whose
+    singleton union is a 0/0 pair.
     """
     if k < 1 or k > g.n:
         raise BadK(f"k={k} outside [1, n]")

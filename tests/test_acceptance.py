@@ -22,6 +22,7 @@ from cutspec import nodal as nd
 from cutspec import oracles as orc
 from cutspec import spectrum as sp
 from cutspec.errors import DegenerateDenominator
+from theorem_checks import check_max_eigvec_structure, check_null_symmetry
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -159,12 +160,12 @@ def test_criterion_5_structure_theorems(small_corpus):
         lam_max = orc.maxcut(g).value
         h = orc.cheeger(g).value
         for pid, lam, x, rep in _structure_pairs(g):
-            assert nd.check_null_symmetry(g, x, rep), (name, pid, lam)
+            assert check_null_symmetry(g, x, rep), (name, pid, lam)
             nrep = nd.analyze(g, x, "sup_norm_based")
             if pid == "cheeger_new" and lam == h:
                 assert nrep.S0 <= 2, (name, lam)
             if pid == "maxcut_inf" and lam == lam_max:
-                out = nd.check_max_eigvec_structure(
+                out = check_max_eigvec_structure(
                     g, x, rep, pid, flip_closure=g.n <= 6
                 )
                 assert out["d_zero_edgeless"], name

@@ -115,13 +115,20 @@ def test_scan_output():
     assert vals == ["0", "2/3"]
 
 
-# main in a fresh interpreter; prints its exit code and whether numpy loaded
-NUMPY_PROBE = """
+# main in a fresh interpreter; prints its exit code, then the packages
+# outside the standard library and cutspec that `import cutspec.cli` loaded,
+# then those loaded once main has run ("-" for none)
+IMPORT_PROBE = """
 import contextlib, io, sys
+before = set(sys.modules)
+def foreign():
+    tops = {m.partition(".")[0] for m in set(sys.modules) - before}
+    return ",".join(sorted(tops - set(sys.stdlib_module_names) - {"cutspec"})) or "-"
 from cutspec import cli
+on_import = foreign()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, on_import, foreign())
 """
 
 
@@ -153,13 +160,15 @@ def test_only_the_eigensolver_loads_numpy(argv, loads_numpy, tmp_path):
     paths = {"cycle5": CORPUS / "cycle5.txt", "path4": CORPUS / "path4.txt", "x": vecfile}
     argv = [a.format(**paths) for a in argv]
     res = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["0", str(loads_numpy)]
+    # the import loads nothing outside the standard library, which keeps
+    # start-up short; only the eigensolver then loads numpy
+    assert res.stdout.split() == ["0", "-", "numpy" if loads_numpy else "-"]
 
 
 # runs the CLI on its arguments once its stdin has closed
@@ -220,14 +229,16 @@ def test_zero_denominators_exit_1(tmp_path, capsys):
         ["oracle", "mincut", "--graph", str(edgeless)],
         ["oracle", "dual_cheeger", "--graph", str(edgeless)],
         ["cut", "dual", "--graph", str(edgeless)],
-        ["oracle", "dual_cheeger", *zero_mu],
         ["oracle", "k_way_dual_cheeger", *zero_mu],
     ):
         assert cli.main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
-    # Dinkelbach skips the candidates of denominator 0, as {0} is here
+    # Dinkelbach and the pair oracle skip the candidates of denominator 0,
+    # as {0} is here
     assert cli.main(["cut", "dual", *zero_mu]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == "0"
+    assert cli.main(["oracle", "dual_cheeger", *zero_mu]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "4/3"  # ({0, 2}, {1})
 
 
 def test_cut_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
@@ -238,6 +249,21 @@ def test_cut_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
             argv = ["cut", problem, "--graph", str(graph), "--inner", inner]
             assert cli.main(argv) == 0, argv
             assert json.loads(capsys.readouterr().out)["converged"], argv
+
+
+def test_pair_oracles_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
+    graph = tmp_path / "p3_and_isolated.txt"
+    graph.write_text("n 4\n1 2\n2 3\n")  # vertex 0 has degree and measure 0
+    for problem, oracle in (("dual", "dual_cheeger"), ("mdual", "modified_dual_cheeger")):
+        values = []
+        for argv in (["oracle", oracle], ["oracle", f"ratio:{problem}"], ["cut", problem]):
+            assert cli.main([*argv, "--graph", str(graph)]) == 0, argv
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values == ["1", "0", "0"], problem
+    # k_way_dual_cheeger still refuses a vertex of measure zero
+    argv = ["oracle", "k_way_dual_cheeger", "--k", "1", "--graph", str(graph)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize(

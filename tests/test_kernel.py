@@ -6,7 +6,8 @@ candidate is scored with `fractions.Fraction` through `graph` and
 Dinkelbach, to the first candidate in `graph.ternary_pairs` order; for its
 local_flip step, to the first strict improvement in move order).  A zero
 denominator is a ZeroDivisionError in a reference; the kernel must raise
-the matching typed error instead.
+the matching typed error instead.  The fraction-free simplex is held to
+the dense Fraction tableau it replaced.
 """
 
 import random
@@ -46,7 +47,7 @@ from cutspec.errors import (
 )
 from cutspec.functionals import RVector
 from cutspec.graph import Graph, vol
-from cutspec.simplex import _rows_in_reach
+from cutspec.simplex import _rows_in_reach, find_feasible
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -147,10 +148,15 @@ def ref_pair(g, modified):
                 continue
             sa, sb = _sets(g, a), _sets(g, b)
             bnd = gr.boundary(g, sa | sb) if modified else F(0)
-            val = (2 * gr.cut_weight(g, sa, sb) + bnd) / (gr.vol(g, sa | sb) + bnd)
-            yield val, (tuple(sorted(sa)), tuple(sorted(sb)))
+            den = gr.vol(g, sa | sb) + bnd
+            if den:  # a 0/0 pair lies outside the ratio's domain
+                val = (2 * gr.cut_weight(g, sa, sb) + bnd) / den
+                yield val, (tuple(sorted(sa)), tuple(sorted(sb)))
 
-    return _argbest(cands(), maximize=True)
+    best = _argbest(cands(), maximize=True)
+    if best is None:
+        raise ZeroDivisionError("every pair has denominator 0")
+    return best
 
 
 def ref_k_way(g, k):
@@ -807,16 +813,19 @@ def test_dinkelbach_iterations_match_reference(g, pid):
 @SETTINGS
 @given(graphs(max_n=5), st.sampled_from(sorted(fn.PROBLEMS)))
 @example(gr.Graph.build(4, [(1, 2), (2, 3)]), "dual")
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]), "mdual")
 @example(gr.Graph.build(4, [(1, 2), (2, 3)]), "cheeger_tv")
 @example(EDGELESS, "mdual")
 def test_dinkelbach_equals_ratio_oracle_under_degree_measure(g, pid):
     """With mu the weighted degree, exact Dinkelbach reaches the ratio
     oracle's value wherever the oracle answers, isolated vertices (of
-    measure zero) included."""
+    measure zero) included; the dual oracles answer on every graph with an
+    edge."""
     g = gr.Graph.build(g.n, g.edges)
     try:
         want = orc.ratio_oracle(pid, g).value
     except CutspecError:
+        assert not (fn.PROBLEMS[pid].dual and g.edges), pid
         return
     assert dk.solve(pid, g).final.value == want
 
@@ -885,12 +894,209 @@ def test_mask_tables_small_example():
 
 @pytest.mark.parametrize("g", [EDGELESS, ZERO_MU_PATH])
 def test_zero_measure_is_typed(g):
-    with pytest.raises(ZeroMeasure):
-        orc.dual_cheeger(g)
-    with pytest.raises(ZeroMeasure):
+    with pytest.raises(ZeroMeasure):  # refuses any vertex of measure zero
         orc.k_way_dual_cheeger(g, 1)
-    if g is EDGELESS:
+    if g is EDGELESS:  # every candidate has denominator 0
+        with pytest.raises(ZeroMeasure):
+            orc.dual_cheeger(g)
         with pytest.raises(DegenerateDenominator):
             dk.solve("dual", g)
     else:  # a candidate outside vertex 0 has a nonzero denominator
+        assert orc.dual_cheeger(g).value == 2
         assert dk.solve("dual", g).final.value == 0
+
+
+# -- the simplex ---------------------------------------------------------------
+
+# simplex.find_feasible and its row-interval test on the dense Fraction
+# tableau, copied unchanged as the reference for the fraction-free tableau:
+# the same pivots must give the same point.
+def _ref_rows_in_reach(bounds, rows) -> bool:
+    for coeffs, rhs in rows:
+        low = high = ZERO
+        for j, a in coeffs.items():
+            lo, hi = bounds[j]
+            if a > 0:
+                low += a * lo
+                high += a * hi
+            elif a < 0:
+                low += a * hi
+                high += a * lo
+        if not low <= rhs <= high:
+            return False
+    return True
+
+
+def ref_find_feasible(bounds, rows):
+    nv = len(bounds)
+    for lo, hi in bounds:
+        if lo > hi:
+            return None
+    if not _ref_rows_in_reach(bounds, rows):
+        return None
+
+    # substitute x_j = lo_j + s_j with s_j in [0, d_j]; drop d_j = 0 vars
+    shift = [lo for lo, _ in bounds]
+    span = [hi - lo for lo, hi in bounds]
+    active = [j for j in range(nv) if span[j] > 0]
+    col_of = {j: k for k, j in enumerate(active)}
+    ns = len(active)
+
+    eqs = []
+    for coeffs, rhs in rows:
+        row = [ZERO] * ns
+        b = rhs
+        for j, a in coeffs.items():
+            b -= a * shift[j]
+            if j in col_of:
+                row[col_of[j]] += a
+        eqs.append((row, b))
+
+    # upper-bound slack rows: s_k + t_k = span
+    for k, j in enumerate(active):
+        row = [ZERO] * ns
+        row[k] = ONE
+        eqs.append((row, span[j]))
+
+    m = len(eqs)
+    width = ns + ns + m  # s vars, t slacks, artificials
+    tableau = []
+    for i, (row, b) in enumerate(eqs):
+        t_part = [ZERO] * ns
+        if i >= len(rows):
+            t_part[i - len(rows)] = ONE
+        full = row + t_part + [ZERO] * m + [b]
+        if b < 0:
+            full = [-v for v in full]
+        full[ns + ns + i] = ONE
+        tableau.append(full)
+
+    basis = [ns + ns + i for i in range(m)]
+    # phase-1 objective: minimize sum of artificials
+    cost = [ZERO] * (width + 1)
+    for r in tableau:
+        for c, v in enumerate(r):
+            if v:
+                cost[c] -= v
+    for i in range(m):
+        cost[ns + ns + i] = ZERO
+
+    while True:
+        pivot_col = next(
+            (c for c in range(width) if cost[c] < 0 and c not in basis), None
+        )
+        if pivot_col is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            a = tableau[i][pivot_col]
+            if a > 0:
+                ratio = tableau[i][width] / a
+                key = (ratio, basis[i])  # Bland tie-break on basis index
+                if best is None or key < best:
+                    best = key
+                    pivot_row = i
+        if pivot_row is None:
+            return None  # unbounded phase-1 cannot happen; defensive
+        prow = tableau[pivot_row]
+        piv = prow[pivot_col]
+        # only the pivot row's nonzero columns change the other rows
+        nonzero = [c for c, v in enumerate(prow) if v]
+        for c in nonzero:
+            prow[c] /= piv
+        for row in tableau + [cost]:
+            f = row[pivot_col]
+            if row is not prow and f:
+                for c in nonzero:
+                    row[c] -= f * prow[c]
+        basis[pivot_row] = pivot_col
+
+    if -cost[width] != 0:
+        return None  # residual artificial mass: infeasible
+
+    s_val = [ZERO] * ns
+    for i, bvar in enumerate(basis):
+        if bvar < ns:
+            s_val[bvar] = tableau[i][width]
+        elif bvar >= ns + ns and tableau[i][width] != 0:
+            return None  # artificial stuck in basis at nonzero level
+
+    out = list(shift)
+    for k, j in enumerate(active):
+        out[j] = shift[j] + s_val[k]
+    return out
+
+
+@st.composite
+def boxed_systems(draw):
+    """Small boxed systems with rational data: zero spans, now and then a
+    box with lo > hi, rows through a point of the box or shifted off it
+    (right-hand sides of either sign), and empty rows."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    nv = draw(st.integers(1, 5))
+    bounds, point = [], []
+    for _ in range(nv):
+        lo = draw(q)
+        span = draw(st.one_of(st.just(F(0)), st.fractions(0, 3, max_denominator=3)))
+        bounds.append((lo, lo + span))
+        point.append(lo + span * draw(st.sampled_from((0, F(1, 4), F(1, 2), 1))))
+    if draw(st.integers(0, 19)) == 0:
+        j = draw(st.integers(0, nv - 1))
+        bounds[j] = (bounds[j][1] + 1, bounds[j][0])
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        js = draw(st.lists(st.integers(0, nv - 1), max_size=nv, unique=True))
+        coeffs = {j: draw(q) for j in js}
+        rhs = sum((a * point[j] for j, a in coeffs.items()), F(0))
+        rows.append((coeffs, rhs + draw(st.one_of(st.just(F(0)), q))))
+    return bounds, rows
+
+
+# Two systems whose point depends on the pivot path: the first changes when
+# Bland's tie-break looks at the row index instead of the basis index, the
+# second when the cost row sums the rows scaled to integers.
+BLAND_TIE = (
+    [(F(0), F(1)), (F(0), F(1, 2)), (F(0), F(0)), (F(-1, 2), F(1)), (F(0), F(1, 2)), (F(0), F(0))],
+    [({4: F(2), 3: F(1), 1: F(1)}, F(3, 4)), ({0: F(-1, 2), 1: F(1), 3: F(-1)}, F(1, 4))],
+)
+ROW_SCALE = (
+    [(F(-1), F(0)), (F(0), F(0)), (F(0), F(1)), (F(0), F(3, 2)), (F(0), F(0))],
+    [({3: F(-1)}, F(0)), ({2: F(1, 2), 3: F(1, 2), 0: F(2)}, F(-3, 2))],
+)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(boxed_systems())
+@example(BLAND_TIE)
+@example(ROW_SCALE)
+def test_find_feasible_matches_fraction_tableau(system):
+    """The fraction-free simplex returns the reference's point, Fraction for
+    Fraction, or None where it does; and its row-interval test agrees."""
+    bounds, rows = system
+    assert _rows_in_reach(bounds, rows) == _ref_rows_in_reach(bounds, rows)
+    assert repr(find_feasible(bounds, rows)) == repr(ref_find_feasible(bounds, rows))
+
+
+@SETTINGS
+@given(graphs(max_n=5), VECTORS, st.fractions(min_value=-2, max_value=3, max_denominator=4))
+@example(WEIGHTED, [F(1), F(1, 2), F(-1), F(0), 0], F(2, 3))
+@example(ZERO_MU_PATH, [F(1), F(0), F(-1), 0, 0], F(1, 2))
+def test_find_feasible_matches_fraction_tableau_on_verify_systems(g, vals, off):
+    """The same on every system verify builds, for the six ids and raw
+    one_lap, at the ratio's value and at another."""
+    x = tuple(vals[: g.n])
+    for sid, raw in [*((sid, False) for sid in sorted(fn.EIGENPROBLEMS)), ("one_lap", True)]:
+        lams = {off}
+        try:
+            lams.add(fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x))
+        except CutspecError:
+            pass
+        for lam in lams:
+            try:
+                systems = built_systems(sid, g, lam, x, raw_one_lap=raw)
+            except CutspecError:
+                continue
+            for bounds, rows in systems:
+                got = find_feasible(bounds, rows)
+                assert repr(got) == repr(ref_find_feasible(bounds, rows)), (sid, raw, lam)

@@ -6,7 +6,8 @@ from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import nodal as nd
-from cutspec.errors import NotVerified, ZeroVector
+from cutspec.errors import ZeroVector
+from theorem_checks import NotVerified, check_max_eigvec_structure, check_null_symmetry
 
 
 def vec(g, vals):
@@ -73,11 +74,11 @@ def test_checks_require_verification():
     x = fn.indicator(p4, {0, 1}, {2, 3})
     bad = eg.verify("one_lap", p4, F(1, 2), x)  # wrong eigenvalue
     with pytest.raises(NotVerified):
-        nd.check_null_symmetry(p4, x, bad)
+        check_null_symmetry(p4, x, bad)
     good = eg.verify("maxcut_inf", p4, F(1, 3), x)
     other = fn.indicator(p4, {0}, {1, 2, 3})
     with pytest.raises(NotVerified):
-        nd.check_max_eigvec_structure(p4, other, good, "maxcut_inf")
+        check_max_eigvec_structure(p4, other, good, "maxcut_inf")
 
 
 def test_null_symmetry_on_verified_pair():
@@ -86,7 +87,7 @@ def test_null_symmetry_on_verified_pair():
     lam = fn.ratio_objective("maxcut_ratio", g, x)
     rep = eg.verify("maxcut_inf", g, lam, x)
     assert rep.verdict
-    assert nd.check_null_symmetry(g, x, rep)
+    assert check_null_symmetry(g, x, rep)
 
 
 def test_structure_checks_star_triangle():
@@ -101,7 +102,7 @@ def test_structure_checks_star_triangle():
         assert lam == F(2, 3)
         rep = eg.verify("maxcut_inf", g, lam, x)
         assert rep.verdict
-        out = nd.check_max_eigvec_structure(g, x, rep, "maxcut_inf")
+        out = check_max_eigvec_structure(g, x, rep, "maxcut_inf")
         assert out["boundary_balance"]
         assert out["null_vertex_balance"]
         assert out["d_zero_edgeless"]
@@ -116,7 +117,7 @@ def test_courant_bounds():
     x = fn.indicator(p4, {0, 1}, {2, 3})
     rep = eg.verify("one_lap", p4, F(1, 3), x)
     assert rep.verdict
-    out = nd.check_max_eigvec_structure(
+    out = check_max_eigvec_structure(
         p4, x, rep, "one_lap", k=2, r=1, flip_closure=False
     )
     assert out["courant_S"] and out["courant_S0"]
