@@ -46,8 +46,7 @@ def _best_ratio(candidates, maximize, key):
     best = None  # [num, den, item, key or None]
     for num, den, item in candidates:
         if den == 0:
-            best = None
-            break
+            raise ZeroMeasure("a ratio denominator is zero: some vertex set has measure zero")
         if best is None:
             best = [num, den, item, None]
             continue
@@ -147,9 +146,11 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
     """max over disjoint (A, B), A ∪ B = U nonempty, of
     (2·w(A, B) + bnd) / (vol(U) + bnd), where bnd = cut(U) when modified
     and 0 otherwise.  With 2·w(A, B) = cut(A) + cut(B) - cut(U), every U
-    is decided by its best split.  A U of denominator 0 is a 0/0 pair,
-    outside the ratio's domain, and is skipped, as Dinkelbach skips G = 0;
-    ZeroMeasure is raised only when every U has denominator 0."""
+    is decided by its best split.  A U whose numerator and denominator are
+    both 0 is a 0/0 pair, outside the ratio's domain, and is skipped, as
+    Dinkelbach skips G = 0.  A positive numerator over 0 (two adjacent
+    vertices of measure 0) is +inf and raises ZeroMeasure, as does a graph
+    where every U is 0/0."""
     if g.n > cap:
         raise TooLarge(f"pair oracle capped at n={cap}")
     _, cut, _, volm = mask_tables(g)
@@ -161,7 +162,7 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
                 num, den = best_split[u], volm[u] + cut[u]
             else:
                 num, den = best_split[u] - cut[u], volm[u]
-            if den:
+            if den or num:
                 yield num, den, u
 
     def key(u):  # smallest serialized (A, B) among U's best splits

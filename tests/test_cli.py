@@ -241,6 +241,18 @@ def test_zero_denominators_exit_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "4/3"  # ({0, 2}, {1})
 
 
+def test_pair_oracles_refuse_an_edge_between_two_vertices_of_measure_zero(tmp_path, capsys):
+    graph = tmp_path / "edge.txt"
+    graph.write_text("n 3\n0 1\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("0 0\n1 0\n2 1\n")
+    # U = {0, 1} split as ({0}, {1}) is 2/0, +inf: not a 0/0 pair to skip
+    for oracle in ("dual_cheeger", "modified_dual_cheeger"):
+        argv = ["oracle", oracle, "--graph", str(graph), "--measure", str(measure)]
+        assert cli.main(argv) == 1, argv
+        assert "ratio denominator is zero" in capsys.readouterr().err, argv
+
+
 def test_cut_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
     graph = tmp_path / "p3_and_isolated.txt"
     graph.write_text("n 4\n1 2\n2 3\n")  # vertex 0 has degree and measure 0

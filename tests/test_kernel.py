@@ -81,6 +81,7 @@ def graphs(draw, max_n=6):
 
 EDGELESS = gr.Graph.build(2, [])
 ZERO_MU_PATH = gr.Graph.build(3, [(0, 1), (1, 2)], mu=[0, 1, 1])
+ZERO_MU_EDGE = gr.Graph.build(3, [(0, 1)], mu=[0, 0, 1])  # ({0}, {1}) is 2/0
 WEIGHTED = gr.Graph.build(4, [(0, 1, F(1, 2)), (1, 2, F(3, 2)), (0, 3, 2)])
 
 
@@ -148,14 +149,14 @@ def ref_pair(g, modified):
                 continue
             sa, sb = _sets(g, a), _sets(g, b)
             bnd = gr.boundary(g, sa | sb) if modified else F(0)
+            num = 2 * gr.cut_weight(g, sa, sb) + bnd
             den = gr.vol(g, sa | sb) + bnd
-            if den:  # a 0/0 pair lies outside the ratio's domain
-                val = (2 * gr.cut_weight(g, sa, sb) + bnd) / den
-                yield val, (tuple(sorted(sa)), tuple(sorted(sb)))
+            if num or den:  # a 0/0 pair lies outside the ratio's domain
+                yield num / den, (tuple(sorted(sa)), tuple(sorted(sb)))
 
     best = _argbest(cands(), maximize=True)
     if best is None:
-        raise ZeroDivisionError("every pair has denominator 0")
+        raise ZeroDivisionError("every pair is 0/0")
     return best
 
 
@@ -473,6 +474,7 @@ def kernel_dinkelbach(pid, g):
 @given(graphs())
 @example(EDGELESS)
 @example(ZERO_MU_PATH)
+@example(ZERO_MU_EDGE)
 @example(WEIGHTED)
 def test_subset_and_pair_oracles_match_reference(g):
     for name, (value, maximize) in REF_SUBSET.items():
