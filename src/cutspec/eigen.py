@@ -29,18 +29,29 @@ Problem ids:
   anti_cheeger  difference selection, median term +lam, interval rows,
                 2·lam·vol(V)
 
+verify builds the system in ints.  It reads the signs from x put over the
+lcm of its denominators, takes the weights and measures scaled by their
+common denominator D (as graph.scaled_graph does) and lam = p/q, and puts
+the boxes over D·q and every row, as ints, over D·q (the row sum v = 0
+over 1).  As rationals each row is the row these steps describe, so the
+simplex takes the same pivots and returns the same point.  Variable names
+and Fractions are built only for a returned witness.
+
 The ternary scans first run the simplex's row-range test in integers,
 from the signs of the candidate 1_A - 1_B and the scaled weights,
 measures and eigenvalue, without building a system; only the candidates
-it passes go to verify and the simplex.
+it passes go to verify and the simplex.  A candidate (B, A) skips verify
+once verify rejected its mirror (A, B) at the same value: the system for
+-x is the one for x with the selections z and v negated (one_lap's at the
+lowest median of -x, which has the feasible set of any median), so both
+get the same verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Tuple
+from math import gcd, lcm
 
 from .errors import (
     TooLarge,
@@ -48,21 +59,21 @@ from .errors import (
     ZeroMeasure,
     ZeroVector,
 )
-from .functionals import EIGENPROBLEMS, RVector, indicator, median_interval, sup_norm
+from .functionals import EIGENPROBLEMS, RVector, _median_interval, indicator, sup_norm
 from .graph import (
     Graph,
+    _scaled_weights,
     mask_members,
     mask_tables,
     scaled_graph,
     ternary_pairs,
     ternary_ratios,
-    vol,
 )
 from .oracles import CutCertificate
 from .simplex import find_feasible
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
 
 @dataclass
 class EigenpairReport:
@@ -73,78 +84,25 @@ class EigenpairReport:
     violated: str = ""
 
 
-class _System:
-    """Incremental builder of a boxed linear feasibility system."""
-
-    def __init__(self):
-        self.bounds: List[Tuple[Fraction, Fraction]] = []
-        self.rows: List[Tuple[dict, Fraction]] = []
-        self.names: List[str] = []
-
-    def var(self, name: str, lo: Fraction, hi: Fraction) -> int:
-        self.bounds.append((lo, hi))
-        self.names.append(name)
-        return len(self.bounds) - 1
-
-    def fixed(self, name: str, value: Fraction) -> int:
-        return self.var(name, value, value)
-
-    def eq(self, coeffs: dict, rhs: Fraction):
-        self.rows.append((dict(coeffs), rhs))
-
-    def solve(self) -> Optional[dict]:
-        point = find_feasible(self.bounds, self.rows)
-        if point is None:
-            return None
-        return dict(zip(self.names, point))
-
-
-def _sign(t: Fraction) -> int:
+def _sign(t) -> int:
     return (t > 0) - (t < 0)
 
 
-def _add_selection(
-    sys_: _System, g: Graph, x: RVector, row_coeffs, symmetric, tag="z", scale=None
-):
+def _add_selection(bounds, rows, g, wts, xs, dq, symmetric, f):
     """Edge selection z_ij in Sgn(x_i + x_j) when symmetric, else the
-    antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u and +w z
-    (symmetric) or -w z to row v, w times scale when a scale is given."""
-    for u, v, w in g.edges:
-        s = _sign(x[u] + x[v] if symmetric else x[u] - x[v])
-        idx = (
-            sys_.fixed(f"{tag}[{u},{v}]", Fraction(s))
-            if s
-            else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
-        )
-        if scale is not None:
-            w = scale * w
-        row_coeffs[u][idx] = w
-        row_coeffs[v][idx] = w if symmetric else -w
-
-
-def _add_median_selection(sys_: _System, g: Graph, x: RVector):
-    """v_i in mu_i Sgn(x_i - c) with sum v = 0 at the lowest median c of x;
-    returns c and the index list.
-
-    No other median needs a system.  The levels strictly between the
-    median interval's ends lo < hi carry zero mass, and with B the mass
-    below lo and A the mass above hi the median conditions give
-    B + mu(lo) = mu(hi) + A = half; so sum v = 0 forces v = -mu on every
-    level <= lo and +mu on every level >= hi for c = lo, for c = hi and for
-    any c between: all have the feasible set of c = lo."""
-    c, _ = median_interval(g, x)
-    idxs = []
-    zero_row = {}
-    for i in range(g.n):
-        s = _sign(x[i] - c)
-        if s:
-            idx = sys_.fixed(f"v[{i}]", s * g.mu[i])
+    antisymmetric z_ij in Sgn(x_i - x_j), its box over dq; adds f·W_ij to
+    row u and +f·W_ij (symmetric) or -f·W_ij to row v, over the row
+    denominator dq, for the scaled weights W = wts."""
+    for (u, v, _), wt in zip(g.edges, wts):
+        t = xs[u] + xs[v] if symmetric else xs[u] - xs[v]
+        if t:
+            bounds.append((dq, dq) if t > 0 else (-dq, -dq))
         else:
-            idx = sys_.var(f"v[{i}]", -g.mu[i], g.mu[i])
-        idxs.append(idx)
-        zero_row[idx] = ONE
-    sys_.eq(zero_row, ZERO)
-    return c, idxs
+            bounds.append((-dq, dq))
+        idx = len(bounds) - 1
+        a = f * wt
+        rows[u][idx] = a
+        rows[v][idx] = a if symmetric else -a
 
 
 def _sup_norm_classes(x: RVector):
@@ -155,21 +113,20 @@ def _sup_norm_classes(x: RVector):
     return m, d_plus, d_minus, d_zero
 
 
-def _witness(sol: dict, lam, x, c=None, total=None) -> dict:
+def _witness(point, g, tags, v_of, s_of, c, total) -> dict:
+    """The feasible point as named selections: z per edge under each tag,
+    v and s per vertex, the median c and, for a positive slack total, the
+    slacks as proportions in [0, 1]."""
     w = {"z": {}, "v": {}, "s": {}}
-    for name, val in sol.items():
-        kind = name.split("[", 1)[0]
-        key = name[name.index("[") + 1 : -1]
-        if kind in ("z", "zs", "zd"):
-            w["z"].setdefault(kind, {})[key] = val
-        elif kind == "v":
-            w["v"][key] = val
-        elif kind == "s":
-            w["s"][key] = val
+    vals = iter(point)
+    for tag in tags if g.edges else ():
+        w["z"][tag] = {f"{u},{v}": next(vals) for u, v, _ in g.edges}
+    for key, ids in (("v", v_of), ("s", s_of)):
+        for i in ids:
+            w[key][str(i)] = next(vals)
     if c is not None:
         w["c_x"] = c
-    if total not in (None, ZERO):
-        # interval-row slacks rescaled to proportions in [0, 1]
+    if total:
         w["p"] = {k: val / total for k, val in w["s"].items()}
     return w
 
@@ -243,59 +200,94 @@ def verify(
     id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
 ) -> EigenpairReport:
     """Decide whether (lam, x) solves the selected eigenproblem exactly: build
-    its system, as the module docstring lists, and find a feasible point."""
+    its system in ints, as the module docstring lists, and find a feasible
+    point."""
     if all(t == 0 for t in x):
         raise ZeroVector("candidate eigenvector is zero")
     lam = Fraction(lam)
     if id not in EIGENPROBLEMS:
         raise UnknownProblem(f"unknown eigenproblem {id!r}")
-    sys_ = _System()
-    rows = [dict() for _ in range(g.n)]
-    rhs = [ZERO] * g.n
+    p, q = lam.numerator, lam.denominator
+    d, wts, mu = _scaled_weights(g)
+    dq = d * q
+    # x over the lcm of its denominators: the same signs and levels
+    den = 1
+    for t in x:
+        den = lcm(den, t.denominator)
+    xs = [t.numerator * (den // t.denominator) for t in x]
+    bounds = []
+    rows = [{} for _ in range(g.n)]
+    rhs = [0] * g.n
+    eqs = []
     if id == "hat_signless":
-        _add_selection(sys_, g, x, rows, True, "zs", scale=ONE - lam)
-        _add_selection(sys_, g, x, rows, False, "zd", scale=-lam)
+        tags = ("zs", "zd")
+        _add_selection(bounds, rows, g, wts, xs, dq, True, q - p)
+        _add_selection(bounds, rows, g, wts, xs, dq, False, -p)
     else:
-        _add_selection(sys_, g, x, rows, id in ("signless", "cheeger_new"))
-    c = None
+        tags = ("z",)
+        _add_selection(bounds, rows, g, wts, xs, dq, id in ("signless", "cheeger_new"), q)
+    med = None
+    v_of = ()  # the vertex of each v variable
     if id == "signless" or id == "one_lap" and raw_one_lap:
+        # lam·mu_i·sign(x_i) on the right, or -lam·mu_i·v_i, v_i in [-1, 1]
+        v_of = [i for i in range(g.n) if not xs[i]]
         for i in range(g.n):
-            s = _sign(x[i])
-            if s:
-                rhs[i] = lam * g.mu[i] * s
+            if xs[i]:
+                rhs[i] = p * mu[i] * _sign(xs[i])
             else:
-                rows[i][sys_.var(f"v[{i}]", -ONE, ONE)] = -lam * g.mu[i]
+                rows[i][len(bounds)] = -p * mu[i]
+                bounds.append((-dq, dq))
     elif id in ("one_lap", "cheeger_new", "anti_cheeger"):
-        c, vidx = _add_median_selection(sys_, g, x)
-        term = -lam if id == "one_lap" else lam
+        # v_i in mu_i·Sgn(x_i - c), box over dq, and sum v = 0, at the
+        # lowest median c.  No other median needs a system.  The levels
+        # strictly between the median interval's ends lo < hi carry zero
+        # mass, and with B the mass below lo and A the mass above hi the
+        # median conditions give B + mu(lo) = mu(hi) + A = half; so sum v = 0
+        # forces v = -mu on every level <= lo and +mu on every level >= hi
+        # for c = lo, for c = hi and for any c between: all have the
+        # feasible set of c = lo.
+        med, _ = _median_interval(xs, mu)
+        v_of = range(g.n)
+        term = -p * d if id == "one_lap" else p * d
+        zero_row = {}
         for i in range(g.n):
-            rows[i][vidx[i]] = term
+            s, mq = _sign(xs[i] - med), mu[i] * q
+            zero_row[len(bounds)] = 1
+            rows[i][len(bounds)] = term
+            bounds.append((s * mq, s * mq) if s else (-mq, mq))
+        eqs.append((zero_row, 0, 1))
     bound = None
+    s_of = ()  # the vertex of each slack s
     if id in ("cheeger_new", "maxcut_inf", "anti_cheeger"):
-        bound = vol(g, range(g.n))
-        if id != "cheeger_new":
-            bound *= lam if id == "maxcut_inf" else 2 * lam
-        _, d_plus, _, d_zero = _sup_norm_classes(x)
+        # slacks in [0, bound] for bound = vol(V)·(1, lam or 2·lam), over dq
+        bound = sum(mu) * (q if id == "cheeger_new" else p if id == "maxcut_inf" else 2 * p)
+        top = max(abs(t) for t in xs)
+        s_of = [i for i in range(g.n) if abs(xs[i]) == top]
         total_row = {}
     for i in range(g.n):
-        if bound is None or i in d_zero:
-            sys_.eq(rows[i], rhs[i])
+        if bound is None or abs(xs[i]) != top:
+            eqs.append((rows[i], rhs[i], dq))
         else:
-            sgn = ONE if i in d_plus else -ONE
-            s = sys_.var(f"s[{i}]", ZERO, bound)
-            row = {k: sgn * a for k, a in rows[i].items()}
-            row[s] = -ONE
-            sys_.eq(row, ZERO)
-            total_row[s] = ONE
+            s = len(bounds)
+            bounds.append((0, bound))
+            row = rows[i] if xs[i] > 0 else {k: -a for k, a in rows[i].items()}
+            row[s] = -dq
+            eqs.append((row, 0, dq))
+            total_row[s] = dq
     if bound is not None:
-        sys_.eq(total_row, bound)
-    sol = sys_.solve()
-    if sol is None:
+        eqs.append((total_row, bound, dq))
+    point = find_feasible(dq, bounds, eqs)
+    if point is None:
         return EigenpairReport(
             verdict=False, lam=lam, x=x, violated="no feasible selection"
         )
+    c = None if med is None else Fraction(med, den)
+    total = None if bound is None else Fraction(bound, dq)
     return EigenpairReport(
-        verdict=True, lam=lam, x=x, witness=_witness(sol, lam, x, c=c, total=bound)
+        verdict=True,
+        lam=lam,
+        x=x,
+        witness=_witness(point, g, tags, v_of, s_of, c, total),
     )
 
 
@@ -386,8 +378,13 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         scaled = scaled_graph(g)
         # reduced value -> its first verified pair, which in certificate
         # order is its certificate; later pairs of that value skip verify,
-        # and so does a pair whose rows the simplex would reject unbuilt
+        # and so does a pair whose rows the simplex would reject unbuilt.
+        # So does (B, A) once verify rejected (A, B) at its value: the
+        # system for -x is the one for x with z and v negated (for one_lap
+        # at another median, which has the same feasible set), so verify
+        # gives -x the verdict of x.
         accepted = {}
+        rejected = set()
         for (a, b), (num, den) in zip(pairs, ratios):
             if den == 0:  # outside the ratio's domain, as (V, ∅) is for one_lap
                 if constant and (a, b) == (full, 0):
@@ -395,10 +392,14 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
                 continue
             c = gcd(num, den)
             key = (num // c, den // c)
-            if key not in accepted and _rows_in_range(id, scaled, a, b, *key):
+            if key in accepted or (b, a, key) in rejected:
+                continue
+            if _rows_in_range(id, scaled, a, b, *key):
                 x = indicator(g, members[a], members[b])
                 if verify(id, g, Fraction(*key), x).verdict:
                     accepted[key] = (a, b)
+                else:
+                    rejected.add((a, b, key))
         values = sorted((Fraction(*key), a, b) for key, (a, b) in accepted.items())
         return [
             (

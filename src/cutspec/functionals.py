@@ -58,11 +58,16 @@ def median_interval(g: Graph, x: RVector):
     t is a minimizer iff the mu-mass strictly below and strictly above t
     are each at most half the total mass.
     """
-    total = sum(g.mu, Fraction(0))
+    return _median_interval(x, g.mu)
+
+
+def _median_interval(x, mu):
+    """median_interval for values x and masses mu, Fractions or ints alike
+    (eigen.verify passes both scaled to ints)."""
+    total = sum(mu)
     if total == 0:
         raise ZeroMeasure("total vertex measure is zero")
-    half = total / 2
-    pairs = sorted(zip(x, g.mu))
+    pairs = sorted(zip(x, mu))
     values = []
     weights = []
     for v, m in pairs:
@@ -71,16 +76,14 @@ def median_interval(g: Graph, x: RVector):
         else:
             values.append(v)
             weights.append(m)
-    prefix = Fraction(0)
+    below = 0
     lo = hi = None
     for v, m in zip(values, weights):
-        below = prefix
-        above = total - prefix - m
-        if below <= half and above <= half:
+        if 2 * below <= total and 2 * (total - below - m) <= total:
             if lo is None:
                 lo = v
             hi = v
-        prefix += m
+        below += m
     return lo, hi
 
 

@@ -166,21 +166,37 @@ def is_connected(g: Graph) -> bool:
 
 # -- bitmask kernel ---------------------------------------------------------
 
+def _scaled_weights(g: Graph):
+    """(D, wts, mu): D is the least common multiple of g's weight and measure
+    denominators, wts[e] = D·w_e in the order of g.edges and mu[i] = D·mu_i.
+    lcm is called pairwise, as in simplex._lcm: verify calls this once per
+    candidate."""
+    d = 1
+    for _, _, w in g.edges:
+        d = lcm(d, w.denominator)
+    for m in g.mu:
+        d = lcm(d, m.denominator)
+    return (
+        d,
+        [w.numerator * (d // w.denominator) for _, _, w in g.edges],
+        [m.numerator * (d // m.denominator) for m in g.mu],
+    )
+
+
 def scaled_graph(g: Graph):
     """g's weights and measures as ints, scaled by D, the least common
     multiple of their denominators.  Returns (D, nbrs, deg, mu): nbrs[i]
     lists (1 << j, D·w_ij) for every neighbour j of i, deg[i] is D times the
     weighted degree of i and mu[i] = D·mu_i."""
-    d = lcm(*(w.denominator for _, _, w in g.edges), *(m.denominator for m in g.mu))
+    d, wts, mu = _scaled_weights(g)
     nbrs = [[] for _ in range(g.n)]
     deg = [0] * g.n
-    for u, v, w in g.edges:
-        wi = w.numerator * (d // w.denominator)
+    for (u, v, _), wi in zip(g.edges, wts):
         nbrs[u].append((1 << v, wi))
         nbrs[v].append((1 << u, wi))
         deg[u] += wi
         deg[v] += wi
-    return d, nbrs, deg, [m.numerator * (d // m.denominator) for m in g.mu]
+    return d, nbrs, deg, mu
 
 
 def mask_tables(g: Graph):

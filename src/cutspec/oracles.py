@@ -42,7 +42,8 @@ def _best_ratio(candidates, maximize, key):
     """Optimum of num/den over candidates (num, den, item), compared by
     integer cross-multiplication; ties go to the item of smallest key(item),
     which is computed only when a tie occurs.  Returns (num, den, item).
-    A zero denominator, or no candidate at all, raises ZeroMeasure."""
+    A zero denominator raises ZeroMeasure, and so does no candidate at all:
+    the callers drop the candidates outside the ratio's domain first."""
     best = None  # [num, den, item, key or None]
     for num, den, item in candidates:
         if den == 0:
@@ -66,17 +67,23 @@ def _best_ratio(candidates, maximize, key):
 
 def _subset_oracle(g: Graph, ratio, maximize: bool) -> CutCertificate:
     """Optimum of ratio(cut(S), vol(S), vol(V - S)) = (num, den) over the
-    bipartitions {S, V - S} with vertex 0 in S and S != V."""
+    bipartitions {S, V - S} with vertex 0 in S and S != V.  A bipartition
+    of denominator 0 is skipped in a minimum: 0/0 is outside the ratio's
+    domain and a positive numerator over 0 is +inf, never the minimum.  A
+    maximum skips 0/0 and raises ZeroMeasure on +inf, as _pair_oracle
+    does; either raises it when no bipartition is left."""
     _, cut, _, volm = mask_tables(g)
     full = (1 << g.n) - 1
     vol_v = volm[full]
+
+    def candidates():
+        for s in range(1, full, 2):
+            num, den = ratio(cut[s], volm[s], vol_v - volm[s])
+            if den or maximize and num:
+                yield num, den, s
+
     num, den, s = _best_ratio(
-        (
-            (*ratio(cut[s], volm[s], vol_v - volm[s]), s)
-            for s in range(1, full, 2)
-        ),
-        maximize,
-        key=lambda s: _members(s, g.n),
+        candidates(), maximize, key=lambda s: _members(s, g.n)
     )
     return CutCertificate(
         kind="subset", sets=(frozenset(_members(s, g.n)),), value=Fraction(num, den)

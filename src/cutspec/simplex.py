@@ -1,29 +1,32 @@
 """Exact rational linear feasibility via a phase-1 simplex.
 
-Solves: find x with lo_j <= x_j <= hi_j and A x = b, all data Fractions.
-Box bounds are rewritten as shifted nonnegative variables plus slack rows,
-then phase-1 with artificial variables and Bland's rule (no cycling, no
+Solves: find x with lo_j <= x_j <= hi_j and A x = b over the rationals,
+given in ints: the box over one denominator, each row over its own
+positive denominator (eigen.verify builds its systems so).  Box bounds
+are rewritten as shifted nonnegative variables plus slack rows, then
+phase-1 with artificial variables and Bland's rule (no cycling, no
 floating point).  A row whose right-hand side lies outside the range its
-left-hand side takes over the box rejects the system before any tableau is
-built; most rejected eigenpair candidates end there.  Intended for the
-small systems produced by eigenpair verification, not as a general-purpose
-LP code.
+left-hand side takes over the box rejects the system before any tableau
+is built; most rejected eigenpair candidates end there.  Intended for the
+small systems produced by eigenpair verification, not as a
+general-purpose LP code.
 
-The arithmetic is fraction-free.  The box is put over one common
-denominator, and every tableau row, the phase-1 cost row included, is a
-list of ints over one positive row denominator, so sign tests are tests on
-ints and ratio tests are integer cross-multiplications; a Fraction is built
-only for the returned point.  A row's denominator is part of its value and
-is never dropped: scaling a row by r scales its term in the cost row, the
-sum of the rows, by r, which changes the entering columns and so the pivot
-path and the point returned.
+The arithmetic is fraction-free.  Every tableau row, the phase-1 cost row
+included, is a list of ints over one positive row denominator, reduced to
+lowest terms, so it depends only on the rational row and not on the
+denominators it came in; sign tests are tests on ints and ratio tests are
+integer cross-multiplications, and a Fraction is built only for the
+returned point.  A row's denominator is part of its value and is never
+dropped: scaling a row by r scales its term in the cost row, the sum of
+the rows, by r, which changes the entering columns and so the pivot path
+and the point returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def _lcm(values) -> int:
@@ -37,29 +40,17 @@ def _lcm(values) -> int:
     return out
 
 
-def _int_box(bounds):
-    """(den, low, span) with lo_j = low[j]/den and hi_j - lo_j = span[j]/den."""
-    den = _lcm(t.denominator for box in bounds for t in box)
-    low = [lo.numerator * (den // lo.denominator) for lo, _ in bounds]
-    span = [
-        hi.numerator * (den // hi.denominator) - l for (_, hi), l in zip(bounds, low)
-    ]
-    return den, low, span
-
-
 def _shifted_rows(den, low, span, rows):
-    """Each row sum a_j x_j = rhs in ints over the shifted variables
-    s_j = x_j - lo_j in [0, span[j]/den], as (coeffs, b, d) for
-    sum (coeffs[j]·den/d)·s_j = b/d.  None when a row fails the row-interval
-    test: b lies between the sums of coeffs[j]·span[j] over the negative and
-    over the positive coefficients."""
+    """Each row sum (coeffs[j]/d)·x_j = rhs/d in ints over the shifted
+    variables s_j = x_j - low[j]/den in [0, span[j]/den], as (coeffs, b, e)
+    for sum (coeffs[j]·den/e)·s_j = b/e.  None when a row fails the
+    row-interval test: b lies between the sums of coeffs[j]·span[j] over the
+    negative and over the positive coefficients."""
     out = []
-    for coeffs, rhs in rows:
-        m = lcm(rhs.denominator, _lcm(a.denominator for a in coeffs.values()))
-        ints = {j: a.numerator * (m // a.denominator) for j, a in coeffs.items()}
-        b = rhs.numerator * (m // rhs.denominator) * den
+    for coeffs, rhs, d in rows:
+        b = rhs * den
         reach_lo = reach_hi = 0
-        for j, a in ints.items():
+        for j, a in coeffs.items():
             b -= a * low[j]
             if a > 0:
                 reach_hi += a * span[j]
@@ -67,15 +58,17 @@ def _shifted_rows(den, low, span, rows):
                 reach_lo += a * span[j]
         if not reach_lo <= b <= reach_hi:
             return None
-        out.append((ints, b, m * den))
+        out.append((coeffs, b, d * den))
     return out
 
 
-def _rows_in_reach(bounds, rows) -> bool:
+def _rows_in_reach(den, bounds, rows) -> bool:
     """Row-interval test, a necessary condition for feasibility: over the
     box, sum a_j x_j ranges over [sum of a_j at its minimizing bound, sum of
     a_j at its maximizing bound], and each row's rhs must lie in its range."""
-    return _shifted_rows(*_int_box(bounds), rows) is not None
+    low = [lo for lo, _ in bounds]
+    span = [hi - lo for lo, hi in bounds]
+    return _shifted_rows(den, low, span, rows) is not None
 
 
 def _reduce(row, dens, i):
@@ -83,24 +76,29 @@ def _reduce(row, dens, i):
     found by pairwise gcd calls as in _lcm."""
     g = dens[i]
     for v in row:
-        if g == 1:
-            return
-        g = gcd(g, v)
+        if v:
+            g = gcd(g, v)
+            if g == 1:
+                return
     if g > 1:
         row[:] = [v // g for v in row]
         dens[i] //= g
 
 
 def find_feasible(
-    bounds: Sequence[Tuple[Fraction, Fraction]],
-    rows: Sequence[Tuple[dict, Fraction]],
+    den: int,
+    bounds: Sequence[Tuple[int, int]],
+    rows: Sequence[Tuple[Dict[int, int], int, int]],
 ) -> Optional[List[Fraction]]:
     """Return a point satisfying all equality rows within the boxes, or None.
 
-    bounds: per-variable (lo, hi) with lo <= hi, both finite.
-    rows: equality constraints as ({var_index: coeff}, rhs).
+    den: the box denominator, a positive int.
+    bounds: per-variable (lo, hi), ints with lo/den <= x_j <= hi/den.
+    rows: equality constraints ({var_index: a_j}, rhs, d), ints with d > 0,
+        for sum (a_j/d)·x_j = rhs/d.
     """
-    den, low, span = _int_box(bounds)
+    low = [lo for lo, _ in bounds]
+    span = [hi - lo for lo, hi in bounds]
     if any(sp < 0 for sp in span):
         return None  # some lo > hi
     eqs = _shifted_rows(den, low, span, rows)
@@ -113,46 +111,55 @@ def find_feasible(
     ns = len(active)
     m = len(eqs) + ns
     width = ns + ns + m  # s vars, t slacks, artificials
-    tableau, dens = [], []
+    # each row reduced to lowest terms with a nonnegative right side, its
+    # artificial column set to its denominator; built from its nonzeros
+    tableau, dens, sparse = [], [], []
     for i in range(m):
-        row = [0] * (width + 1)
         if i < len(eqs):
-            coeffs, row[width], d = eqs[i]
-            for j, a in coeffs.items():
-                if j in col_of:
-                    row[col_of[j]] = a * den
+            coeffs, b, d = eqs[i]
+            nz = [(col_of[j], a * den) for j, a in coeffs.items() if a and j in col_of]
         else:
             k = i - len(eqs)
-            row[k] = row[ns + k] = d = den
-            row[width] = span[active[k]]
+            b, d = span[active[k]], den
+            nz = [(k, den), (ns + k, den)]
+        g = gcd(d, b)
+        for _, v in nz:
+            if g == 1:
+                break
+            g = gcd(g, v)
+        if b < 0:
+            g = -g
+        nz = [(c, v // g) for c, v in nz]
+        b //= g
+        d //= abs(g)
+        row = [0] * (width + 1)
+        for c, v in nz:
+            row[c] = v
+        row[ns + ns + i] = d
+        row[width] = b
         tableau.append(row)
         dens.append(d)
-        _reduce(row, dens, i)
-        if row[width] < 0:
-            row[:] = [-v for v in row]
-        row[ns + ns + i] = dens[i]
+        sparse.append((nz, b))
 
     # phase-1 objective: minimize sum of artificials; the cost row is the
     # exact sum of the rows, negated, over the lcm of their denominators
     dc = _lcm(dens)
     cost = [0] * (width + 1)
-    for row, d in zip(tableau, dens):
+    for (nz, b), d in zip(sparse, dens):
         f = dc // d
-        for c, v in enumerate(row):
-            if v:
-                cost[c] -= f * v
-    for i in range(m):
-        cost[ns + ns + i] = 0
+        for c, v in nz:
+            cost[c] -= f * v
+        cost[width] -= f * b
     dens.append(dc)
     _reduce(cost, dens, m)
     rows_and_cost = tableau + [cost]
 
     basis = [ns + ns + i for i in range(m)]
     while True:
-        pivot_col = next(
-            (c for c in range(width) if cost[c] < 0 and c not in basis), None
-        )
-        if pivot_col is None:
+        for pivot_col in range(width):
+            if cost[pivot_col] < 0 and pivot_col not in basis:
+                break
+        else:
             break
         # minimum ratio row[width]/a over a > 0, cross-multiplied (the row
         # denominator cancels); Bland tie-break on basis index
@@ -172,18 +179,19 @@ def find_feasible(
         piv = dens[pivot_row]
         # row -= f·prow over the denominator d·piv, with f = row[pivot_col];
         # only the pivot row's nonzero columns change when piv | f
-        nonzero = [c for c, v in enumerate(prow) if v]
+        nonzero = [(c, v) for c, v in enumerate(prow) if v]
         for i, row in enumerate(rows_and_cost):
             f = row[pivot_col]
-            if row is prow or not f:
+            if not f or row is prow:
                 continue
             g = gcd(piv, f)
-            p, f = piv // g, f // g
-            if p != 1:
-                row[:] = [v * p for v in row]
-            for c in nonzero:
-                row[c] -= f * prow[c]
-            if p != 1:
+            if g == piv:
+                f //= g
+                for c, v in nonzero:
+                    row[c] -= f * v
+            else:
+                p, f = piv // g, f // g
+                row[:] = [v * p - f * w for v, w in zip(row, prow)]
                 dens[i] *= p
                 _reduce(row, dens, i)
         basis[pivot_row] = pivot_col
@@ -198,8 +206,8 @@ def find_feasible(
         elif bvar >= ns + ns and tableau[i][width] != 0:
             return None  # artificial stuck in basis at nonzero level
 
-    out = [lo for lo, _ in bounds]
-    for k, j in enumerate(active):
-        num, d = s_val[k]
-        out[j] = Fraction(low[j] * d + num * den, den * d)
-    return out
+    # x_j = low_j/den + s_j, with s_j = num/d
+    point = [(lo, 1) for lo in low]
+    for j, (num, d) in zip(active, s_val):
+        point[j] = (low[j] * d + num * den, d)
+    return [Fraction(num, den * d) for num, d in point]

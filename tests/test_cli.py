@@ -253,6 +253,30 @@ def test_pair_oracles_refuse_an_edge_between_two_vertices_of_measure_zero(tmp_pa
         assert "ratio denominator is zero" in capsys.readouterr().err, argv
 
 
+def test_cheeger_oracle_skips_a_side_of_measure_zero(tmp_path, capsys):
+    path3 = tmp_path / "path3.txt"
+    path3.write_text("0 1\n1 2\n")
+    measure = tmp_path / "measure.txt"
+    measure.write_text("0 0\n")
+    zero_mu = ["--graph", str(path3), "--measure", str(measure)]
+    # ({0}, {1, 2}) is 1/0, +inf, never the minimum; ({0, 1}, {2}) gives 1
+    for argv in (["oracle", "cheeger"], ["oracle", "ratio:cheeger_tv"], ["cut", "cheeger_tv"]):
+        assert cli.main([*argv, *zero_mu]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["value"] == "1", argv
+    # the cheeger_new scan keeps its refusal of a zero denominator
+    assert cli.main(["scan", "cheeger_new", *zero_mu]) == 1
+    assert "ratio denominator is zero" in capsys.readouterr().err
+    # with vol(V) = 0 a maximum still raises on +inf, and a minimum has no
+    # bipartition left
+    edge = tmp_path / "edge.txt"
+    edge.write_text("0 1\n")
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0 0\n1 0\n")
+    for oracle in ("maxcut", "anti_cheeger", "mincut", "cheeger"):
+        assert cli.main(["oracle", oracle, "--graph", str(edge), "--measure", str(zero)]) == 1
+        assert "ratio denominator is zero" in capsys.readouterr().err, oracle
+
+
 def test_cut_on_a_graph_with_an_isolated_vertex(tmp_path, capsys):
     graph = tmp_path / "p3_and_isolated.txt"
     graph.write_text("n 4\n1 2\n2 3\n")  # vertex 0 has degree and measure 0

@@ -7,7 +7,9 @@ Dinkelbach, to the first candidate in `graph.ternary_pairs` order; for its
 local_flip step, to the first strict improvement in move order).  A zero
 denominator is a ZeroDivisionError in a reference; the kernel must raise
 the matching typed error instead.  The fraction-free simplex is held to
-the dense Fraction tableau it replaced.
+the dense Fraction tableau it replaced, and the integer systems of
+eigen.verify, as rationals, to the Fraction systems of the builders it
+replaced.
 """
 
 import random
@@ -25,17 +27,7 @@ from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
-from cutspec.eigen import (
-    ONE,
-    ZERO,
-    EigenpairReport,
-    _System,
-    _add_median_selection,
-    _add_selection,
-    _sign,
-    _sup_norm_classes,
-    _witness,
-)
+from cutspec.eigen import EigenpairReport, _sign, _sup_norm_classes
 from cutspec.errors import (
     BadK,
     CutspecError,
@@ -48,6 +40,10 @@ from cutspec.errors import (
 from cutspec.functionals import RVector
 from cutspec.graph import Graph, vol
 from cutspec.simplex import _rows_in_reach, find_feasible
+from fraction_systems import System, int_system, rationals
+
+ZERO = F(0)
+ONE = F(1)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -121,23 +117,29 @@ def _argbest(cands, maximize):
 
 
 def ref_subset(g, value, maximize):
+    """A bipartition of denominator 0 is left out of a minimum (0/0 lies
+    outside the ratio's domain, a positive numerator over 0 is +inf) and
+    of a maximum when it is 0/0."""
     full = (1 << g.n) - 1
 
     def cands():
         for s in range(1, full, 2):
             a, b = _sets(g, s), _sets(g, full ^ s)
-            yield value(gr.boundary(g, a), gr.vol(g, a), gr.vol(g, b)), (
-                tuple(sorted(a)),
-            )
+            num, den = value(gr.boundary(g, a), gr.vol(g, a), gr.vol(g, b))
+            if den or maximize and num:
+                yield num / den, (tuple(sorted(a)),)
 
-    return _argbest(cands(), maximize)
+    best = _argbest(cands(), maximize)
+    if best is None:
+        raise ZeroDivisionError("no bipartition in the ratio's domain")
+    return best
 
 
 REF_SUBSET = {
-    "cheeger": (lambda c, va, vc: c / min(va, vc), False),
-    "maxcut": (lambda c, va, vc: 2 * c / (va + vc), True),
-    "mincut": (lambda c, va, vc: 2 * c / (va + vc), False),
-    "anti_cheeger": (lambda c, va, vc: c / max(va, vc), True),
+    "cheeger": (lambda c, va, vc: (c, min(va, vc)), False),
+    "maxcut": (lambda c, va, vc: (2 * c, va + vc), True),
+    "mincut": (lambda c, va, vc: (2 * c, va + vc), False),
+    "anti_cheeger": (lambda c, va, vc: (c, max(va, vc)), True),
 }
 
 
@@ -548,20 +550,76 @@ def test_minmax_k_cut_matches_reference(gk, require_partition):
 
 
 def built_systems(sid, g, lam, x, verify=eg.verify, raw_one_lap=False):
-    """The (bounds, rows) of every system verify builds for (lam, x): each
-    is recorded and reported infeasible, so one_lap builds all its median
-    systems."""
+    """find_feasible's (den, bounds, rows) of every system verify builds for
+    (lam, x), each recorded and reported infeasible."""
     systems = []
-    record = lambda bounds, rows: systems.append((bounds, rows))
+    record = lambda *system: systems.append(system)
     with mock.patch.object(eg, "find_feasible", record):
         verify(sid, g, lam, x, raw_one_lap=raw_one_lap)
     return systems
 
 
-# The four system builders and the dispatch that eigen.verify replaced with
-# one builder, copied unchanged as the reference for its systems and reports.
+# The Fraction selection builders and the witness that eigen.verify used
+# before it built its systems in ints, and the four system builders and the
+# dispatch that it replaced with one builder, copied unchanged but for
+# fraction_systems.System and a median_interval looked up in functionals, as
+# the reference for its systems and reports.
+def _add_selection(sys_, g, x, row_coeffs, symmetric, tag="z", scale=None):
+    """Edge selection z_ij in Sgn(x_i + x_j) when symmetric, else the
+    antisymmetric z_ij in Sgn(x_i - x_j); adds +w z to row u and +w z
+    (symmetric) or -w z to row v, w times scale when a scale is given."""
+    for u, v, w in g.edges:
+        s = _sign(x[u] + x[v] if symmetric else x[u] - x[v])
+        idx = (
+            sys_.fixed(f"{tag}[{u},{v}]", Fraction(s))
+            if s
+            else sys_.var(f"{tag}[{u},{v}]", -ONE, ONE)
+        )
+        if scale is not None:
+            w = scale * w
+        row_coeffs[u][idx] = w
+        row_coeffs[v][idx] = w if symmetric else -w
+
+
+def _add_median_selection(sys_, g, x):
+    """v_i in mu_i Sgn(x_i - c) with sum v = 0 at the lowest median c of x;
+    returns c and the index list."""
+    c, _ = fn.median_interval(g, x)
+    idxs = []
+    zero_row = {}
+    for i in range(g.n):
+        s = _sign(x[i] - c)
+        if s:
+            idx = sys_.fixed(f"v[{i}]", s * g.mu[i])
+        else:
+            idx = sys_.var(f"v[{i}]", -g.mu[i], g.mu[i])
+        idxs.append(idx)
+        zero_row[idx] = ONE
+    sys_.eq(zero_row, ZERO)
+    return c, idxs
+
+
+def _witness(sol: dict, lam, x, c=None, total=None) -> dict:
+    w = {"z": {}, "v": {}, "s": {}}
+    for name, val in sol.items():
+        kind = name.split("[", 1)[0]
+        key = name[name.index("[") + 1 : -1]
+        if kind in ("z", "zs", "zd"):
+            w["z"].setdefault(kind, {})[key] = val
+        elif kind == "v":
+            w["v"][key] = val
+        elif kind == "s":
+            w["s"][key] = val
+    if c is not None:
+        w["c_x"] = c
+    if total not in (None, ZERO):
+        # interval-row slacks rescaled to proportions in [0, 1]
+        w["p"] = {k: val / total for k, val in w["s"].items()}
+    return w
+
+
 def _verify_one_lap(g, lam, x):
-    sys_ = _System()
+    sys_ = System()
     rows = [dict() for _ in range(g.n)]
     _add_selection(sys_, g, x, rows, symmetric=False)
     c, vidx = _add_median_selection(sys_, g, x)
@@ -576,7 +634,7 @@ def _verify_sign_system(g, lam, x, symmetric):
     """signless (symmetric selection) and raw one_lap (difference
     selection): row i equals lam * mu_i * sign(x_i), with a free v_i in
     [-1, 1] in place of sign(x_i) where x_i = 0."""
-    sys_ = _System()
+    sys_ = System()
     rows = [dict() for _ in range(g.n)]
     _add_selection(sys_, g, x, rows, symmetric)
     for i in range(g.n):
@@ -592,7 +650,7 @@ def _verify_sign_system(g, lam, x, symmetric):
 
 
 def _verify_hat_signless(g, lam, x):
-    sys_ = _System()
+    sys_ = System()
     rows_sym = [dict() for _ in range(g.n)]
     rows_diff = [dict() for _ in range(g.n)]
     _add_selection(sys_, g, x, rows_sym, symmetric=True, tag="zs")
@@ -614,7 +672,7 @@ def _verify_sup_norm_system(g, lam, x, symmetric, with_median, bound):
     must total exactly bound.
     """
     _, d_plus, d_minus, d_zero = _sup_norm_classes(x)
-    sys_ = _System()
+    sys_ = System()
     rows = [dict() for _ in range(g.n)]
     _add_selection(sys_, g, x, rows, symmetric)
     c = None
@@ -711,7 +769,9 @@ def _systems_and_report(verify, sid, g, lam, x, raw_one_lap):
     try:
         systems = [
             (bounds, [(list(coeffs.items()), rhs) for coeffs, rhs in rows])
-            for bounds, rows in built_systems(sid, g, lam, x, verify, raw_one_lap)
+            for bounds, rows in (
+                rationals(*s) for s in built_systems(sid, g, lam, x, verify, raw_one_lap)
+            )
         ]
         rep = verify(sid, g, lam, x, raw_one_lap=raw_one_lap)
     except CutspecError as exc:
@@ -749,17 +809,18 @@ def test_one_builder_matches_the_four_builders(g, vals, off):
 
 
 def ref_verify_with_midpoint(sid, g, lam, x):
-    """verify with the median interval's lower end, midpoint and upper end
-    tried in turn, each as the one median of its system; the first
+    """ref_verify with the median interval's lower end, midpoint and upper
+    end tried in turn, each as the one median of its system; the first
     feasible one decides."""
+    median_interval = fn.median_interval
     for pick in (lambda lo, hi: lo, lambda lo, hi: (lo + hi) / 2, lambda lo, hi: hi):
 
         def median_at(g, x):
-            c = pick(*fn.median_interval(g, x))
+            c = pick(*median_interval(g, x))
             return c, c
 
-        with mock.patch.object(eg, "median_interval", median_at):
-            rep = eg.verify(sid, g, lam, x)
+        with mock.patch.object(fn, "median_interval", median_at):
+            rep = ref_verify(sid, g, lam, x)
         if rep.verdict:
             return rep
     return rep
@@ -787,6 +848,32 @@ def test_median_endpoints_decide_as_with_midpoint(g, vals, off):
         for lam in lams:
             got = outcome(lambda: eg.verify(sid, g, lam, x), None)
             assert got == outcome(lambda: ref_verify_with_midpoint(sid, g, lam, x), None), (sid, lam)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(graphs(max_n=5), VECTORS, st.fractions(min_value=-2, max_value=3, max_denominator=4))
+@example(EDGELESS, [F(1), F(0), 0, 0, 0], F(1))
+@example(ZERO_MU_PATH, [F(1), F(0), F(-1), 0, 0], F(1, 2))
+@example(ZERO_MU_EDGE, [F(1), F(0), F(0), 0, 0], F(2))
+@example(WEIGHTED, [F(1), F(1, 2), F(-1), F(0), 0], F(2, 3))
+@example(DISCONNECTED, [F(1), F(1), F(0), F(-1), F(0)], F(1, 2))
+def test_verify_gives_minus_x_the_verdict_of_x(g, vals, off):
+    """The ternary scans skip (B, A) once verify rejected (A, B) at the
+    same value: for every id and raw one_lap, verify(id, g, lam, -x) has the
+    verdict of verify(id, g, lam, x), or raises the same error type, at the
+    ratio's value, at 0 and at another value."""
+    x = tuple(vals[: g.n])
+    minus_x = tuple(-t for t in x)
+    for sid, raw in [*((sid, False) for sid in sorted(fn.EIGENPROBLEMS)), ("one_lap", True)]:
+        lams = {F(0), off}
+        try:
+            lams.add(fn.ratio_objective(fn.EIGENPROBLEMS[sid].ratio, g, x))
+        except CutspecError:
+            pass
+        for lam in lams:
+            verdict = lambda y: eg.verify(sid, g, lam, y, raw_one_lap=raw).verdict
+            got = outcome(lambda: verdict(minus_x), None)
+            assert got == outcome(lambda: verdict(x), None), (sid, raw, lam)
 
 
 @pytest.mark.parametrize("kind", ["nonzero", "nonconstant_2cut"])
@@ -1076,8 +1163,9 @@ def test_find_feasible_matches_fraction_tableau(system):
     """The fraction-free simplex returns the reference's point, Fraction for
     Fraction, or None where it does; and its row-interval test agrees."""
     bounds, rows = system
-    assert _rows_in_reach(bounds, rows) == _ref_rows_in_reach(bounds, rows)
-    assert repr(find_feasible(bounds, rows)) == repr(ref_find_feasible(bounds, rows))
+    ints = int_system(bounds, rows)
+    assert _rows_in_reach(*ints) == _ref_rows_in_reach(bounds, rows)
+    assert repr(find_feasible(*ints)) == repr(ref_find_feasible(bounds, rows))
 
 
 @SETTINGS
@@ -1099,6 +1187,7 @@ def test_find_feasible_matches_fraction_tableau_on_verify_systems(g, vals, off):
                 systems = built_systems(sid, g, lam, x, raw_one_lap=raw)
             except CutspecError:
                 continue
-            for bounds, rows in systems:
-                got = find_feasible(bounds, rows)
-                assert repr(got) == repr(ref_find_feasible(bounds, rows)), (sid, raw, lam)
+            for system in systems:
+                got = find_feasible(*system)
+                want = ref_find_feasible(*rationals(*system))
+                assert repr(got) == repr(want), (sid, raw, lam)

@@ -1,7 +1,8 @@
 """The exact feasibility solver against an independent floating-point LP.
 
 Random small boxed systems, with integer or rational data, some feasible by
-construction and some perturbed.  `find_feasible` must return None exactly
+construction and some perturbed, are put in `find_feasible`'s integer form
+by the tests' `int_system`.  `find_feasible` must return None exactly
 when scipy's `linprog` finds the system infeasible, every point it returns
 must satisfy each row and box exactly, and the row-interval prefilter must
 never reject a system that `linprog` solves.  The data are small enough that
@@ -14,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from cutspec.simplex import _rows_in_reach, find_feasible
+from fraction_systems import int_system
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -58,9 +60,10 @@ def test_find_feasible_matches_linprog(rational):
     for _ in range(400):
         bounds, rows = random_system(rng, rational)
         feasible = linprog_feasible(bounds, rows)
-        point = find_feasible(bounds, rows)
+        ints = int_system(bounds, rows)
+        point = find_feasible(*ints)
         assert (point is not None) == feasible, (bounds, rows)
-        if not _rows_in_reach(bounds, rows):
+        if not _rows_in_reach(*ints):
             assert not feasible, (bounds, rows)
             cases["prefilter"] += 1
         elif point is None:
@@ -78,8 +81,12 @@ def test_find_feasible_matches_linprog(rational):
 def test_prefilter_rejects_unreachable_row():
     # x0 + x1 <= 2 over the unit box, so x0 + x1 = 3 is out of reach, while
     # x0 - x1 = 1 is reached only at the corner (1, 0)
-    box = [(F(0), F(1)), (F(0), F(1))]
-    assert not _rows_in_reach(box, [({0: F(1), 1: F(1)}, F(3))])
-    assert find_feasible(box, [({0: F(1), 1: F(1)}, F(3))]) is None
-    assert _rows_in_reach(box, [({0: F(1), 1: F(-1)}, F(1))])
-    assert find_feasible(box, [({0: F(1), 1: F(-1)}, F(1))]) == [F(1), F(0)]
+    box = [(0, 1), (0, 1)]
+    assert not _rows_in_reach(1, box, [({0: 1, 1: 1}, 3, 1)])
+    assert find_feasible(1, box, [({0: 1, 1: 1}, 3, 1)]) is None
+    assert _rows_in_reach(1, box, [({0: 1, 1: -1}, 1, 1)])
+    assert find_feasible(1, box, [({0: 1, 1: -1}, 1, 1)]) == [F(1), F(0)]
+    # the same rows over the denominators 2 and 3, the box over 4
+    box = [(0, 4), (0, 4)]
+    assert find_feasible(4, box, [({0: 2, 1: 2}, 6, 2)]) is None
+    assert find_feasible(4, box, [({0: 3, 1: -3}, 3, 3)]) == [F(1), F(0)]
