@@ -11,8 +11,10 @@ solver enumerates the scaled ternary vectors (1_A - 1_B)/||.||_1 inside
 Omega, where the inner objective attains its optimum; the flip heuristic
 walks single-vertex moves from seeded random starts.  Both score a
 candidate exactly in integers by the problem record's ternary form
-(F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`, and r_k is
-functionals.ratio_objective at the chosen x.
+(F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`.  r_0 is
+functionals.ratio_objective at the start vector; every later r_k is F/G
+at the chosen pair, which is ratio_objective at the chosen x, since Q is
+invariant under positive scaling and F, G share one positive factor.
 """
 
 from __future__ import annotations
@@ -147,9 +149,8 @@ def solve(
     )
     final_pair = None
     for k in range(1, max_iter + 1):
-        (mask_a, mask_b), value = step(r)
+        (mask_a, mask_b), value, r_next = step(r)
         x = _pair_vector(g, mask_a, mask_b)
-        r_next = ratio_objective(problem_id, g, x)
         trace.iterations.append(
             {"k": k, "r": r_next, "x": x, "inner_value": value}
         )
@@ -166,11 +167,13 @@ def solve(
 
 def _exact_step(pairs, fs, gs, scale, maximize, r):
     """First optimum, in candidate order, of the inner objective
-    (F - r·G)(x) = (q·F_i - p·G_i)/(q·scale) for r = p/q."""
+    (F - r·G)(x) = (q·F_i - p·G_i)/(q·scale) for r = p/q.  Returns the
+    pair, the inner value and the pair's ratio F_i/G_i."""
     p, q = r.numerator, r.denominator
     vals = [q * f - p * h for f, h in zip(fs, gs)]
     best = max(vals) if maximize else min(vals)
-    return pairs[vals.index(best)], Fraction(best, q * scale)
+    i = vals.index(best)
+    return pairs[i], Fraction(best, q * scale), Fraction(fs[i], gs[i])
 
 
 def _flip_step(problem, n, tables, big_l, r, rng, restarts):
@@ -178,7 +181,8 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
     random starts.  Heuristic: no optimality claim.  A move (A, B) is scored
     as q·F - p·G for r = p/q with the integer terms of _ternary_terms, the
     inner objective times q·D·L; the mask tables fill as moves reach new
-    masks, so n has no cap."""
+    masks, so n has no cap.  Returns the pair, the inner value and the
+    pair's ratio F/G."""
     maximize = problem.opt == "max"
     two_cut = problem.domain_kind == "nonconstant_2cut"
     p, q = r.numerator, r.denominator
@@ -224,16 +228,17 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
                         (mask_a, mask_b), cur = move, val
                         improved = True
         # a walk that ends at G = 0 ends outside the ratio's domain
-        if not _ternary_ratios(tables, [(mask_a, mask_b)], problem.ternary)[0][1]:
+        ((f, h),) = _ternary_ratios(tables, [(mask_a, mask_b)], problem.ternary)
+        if not h:
             continue
         if best is None or (cur > best[1] if maximize else cur < best[1]):
-            best = ((mask_a, mask_b), cur)
+            best = ((mask_a, mask_b), cur, (f, h))
     if best is None:
         raise DegenerateDenominator(
             f"{problem.ratio} ratio has denominator 0 at every local_flip restart"
         )
-    pair, val = best
-    return pair, Fraction(val, q * tables[0] * big_l)
+    pair, val, (f, h) = best
+    return pair, Fraction(val, q * tables[0] * big_l), Fraction(f, h)
 
 
 def stationary_check(problem_id: str, g: Graph, lam: Fraction, x: RVector) -> bool:

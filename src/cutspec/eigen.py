@@ -40,9 +40,10 @@ and Fractions are built only for a returned witness.
 The ternary scans first run the simplex's row-range test in integers,
 from the signs of the candidate 1_A - 1_B and the scaled weights,
 measures and eigenvalue, without building a system; only the candidates
-it passes go to verify and the simplex.  A candidate (B, A) skips verify
-once verify rejected its mirror (A, B) at the same value: the system for
--x is the one for x with the selections z and v negated (one_lap's at the
+it passes get verify's system and the simplex, which stop at the verdict:
+no Fraction point and no witness.  A candidate (B, A) skips the system
+once its mirror (A, B) was rejected at the same value: the system for -x
+is the one for x with the selections z and v negated (one_lap's at the
 lowest median of -x, which has the feasible set of any median), so both
 get the same verdict.
 """
@@ -62,6 +63,7 @@ from .errors import (
 from .functionals import EIGENPROBLEMS, RVector, _median_interval, indicator, sup_norm
 from .graph import (
     Graph,
+    _member_order,
     _scaled_weights,
     mask_members,
     mask_tables,
@@ -70,9 +72,7 @@ from .graph import (
     ternary_ratios,
 )
 from .oracles import CutCertificate
-from .simplex import find_feasible
-
-ZERO = Fraction(0)
+from .simplex import _feasible_point, find_feasible
 
 
 @dataclass
@@ -207,14 +207,44 @@ def verify(
     lam = Fraction(lam)
     if id not in EIGENPROBLEMS:
         raise UnknownProblem(f"unknown eigenproblem {id!r}")
-    p, q = lam.numerator, lam.denominator
-    d, wts, mu = _scaled_weights(g)
-    dq = d * q
     # x over the lcm of its denominators: the same signs and levels
     den = 1
     for t in x:
         den = lcm(den, t.denominator)
     xs = [t.numerator * (den // t.denominator) for t in x]
+    system, (tags, v_of, s_of, med, bound) = _system(
+        id, g, lam.numerator, lam.denominator, xs, raw_one_lap
+    )
+    point = find_feasible(*system)
+    if point is None:
+        return EigenpairReport(
+            verdict=False, lam=lam, x=x, violated="no feasible selection"
+        )
+    c = None if med is None else Fraction(med, den)
+    total = None if bound is None else Fraction(bound, system[0])
+    return EigenpairReport(
+        verdict=True,
+        lam=lam,
+        x=x,
+        witness=_witness(point, g, tags, v_of, s_of, c, total),
+    )
+
+
+def _verdict(id: str, g: Graph, p: int, q: int, xs: list) -> bool:
+    """verify(id, g, p/q, x).verdict for the int vector xs of x's levels,
+    with no point or witness built: what the scans read."""
+    system, _ = _system(id, g, p, q, xs, False)
+    return _feasible_point(*system) is not None
+
+
+def _system(id, g, p, q, xs, raw_one_lap):
+    """verify's system for lam = p/q (q > 0) and the nonzero int vector xs
+    that has x's signs and levels: find_feasible's (den, bounds, rows), and
+    the witness's naming (tags, v_of, s_of, med, bound), med the lowest
+    median of xs and bound the slack total over den, each None where the
+    system has none."""
+    d, wts, mu = _scaled_weights(g)
+    dq = d * q
     bounds = []
     rows = [{} for _ in range(g.n)]
     rhs = [0] * g.n
@@ -276,19 +306,7 @@ def verify(
             total_row[s] = dq
     if bound is not None:
         eqs.append((total_row, bound, dq))
-    point = find_feasible(dq, bounds, eqs)
-    if point is None:
-        return EigenpairReport(
-            verdict=False, lam=lam, x=x, violated="no feasible selection"
-        )
-    c = None if med is None else Fraction(med, den)
-    total = None if bound is None else Fraction(bound, dq)
-    return EigenpairReport(
-        verdict=True,
-        lam=lam,
-        x=x,
-        witness=_witness(point, g, tags, v_of, s_of, c, total),
-    )
+    return (dq, bounds, eqs), (tags, v_of, s_of, med, bound)
 
 
 def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector:
@@ -311,7 +329,7 @@ def _scan_subset_family(g, ratio, include_trivial):
     full = (1 << n) - 1
     members = mask_members(n)
     seen = {}
-    for mask in sorted(range(1 << n), key=members.__getitem__):
+    for mask in _member_order(n)[0]:
         if not include_trivial and (mask == 0 or mask == full):
             continue
         num, den = ratio(mask)
@@ -369,9 +387,7 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
             raise TooLarge(f"ternary scan capped at n={min(cap, 9)}")
         full = (1 << g.n) - 1
         # constant vectors sit outside the ratio objective's domain
-        constant = (
-            id == "one_lap" and verify(id, g, ZERO, indicator(g, g.vertices())).verdict
-        )
+        constant = id == "one_lap" and _verdict(id, g, 0, 1, [1] * g.n)
         members = mask_members(g.n)
         pairs = ternary_pairs(g.n)
         ratios = ternary_ratios(mask_tables(g), pairs, EIGENPROBLEMS[id].ternary)
@@ -382,7 +398,8 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         # So does (B, A) once verify rejected (A, B) at its value: the
         # system for -x is the one for x with z and v negated (for one_lap
         # at another median, which has the same feasible set), so verify
-        # gives -x the verdict of x.
+        # gives -x the verdict of x.  Only verify's verdict is read, so no
+        # point or witness is built.
         accepted = {}
         rejected = set()
         for (a, b), (num, den) in zip(pairs, ratios):
@@ -395,8 +412,8 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
             if key in accepted or (b, a, key) in rejected:
                 continue
             if _rows_in_range(id, scaled, a, b, *key):
-                x = indicator(g, members[a], members[b])
-                if verify(id, g, Fraction(*key), x).verdict:
+                xs = [(a >> i & 1) - (b >> i & 1) for i in range(g.n)]
+                if _verdict(id, g, *key, xs):
                     accepted[key] = (a, b)
                 else:
                     rejected.add((a, b, key))

@@ -8,6 +8,7 @@ the weighted degree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -90,6 +91,13 @@ class Graph:
     def vertices(self) -> VertexSet:
         return frozenset(range(self.n))
 
+    @functools.cached_property
+    def kernel(self) -> "Kernel":
+        """The graph's integer kernel, built on first read and kept in the
+        instance __dict__ (dataclass eq and hash ignore it), so it lives and
+        dies with the graph."""
+        return Kernel(self)
+
 
 def weighted_degrees(n: int, edges: Iterable[tuple]) -> list:
     """The weighted degree of every vertex, from (u, v, w) edges."""
@@ -165,22 +173,69 @@ def is_connected(g: Graph) -> bool:
 
 
 # -- bitmask kernel ---------------------------------------------------------
+#
+# Every exact oracle, scan, eigenpair system and Dinkelbach step reads a
+# graph's weights and measures as ints scaled by one D, and most read the
+# cut, degree and volume of vertex bitmasks.  Graph.kernel builds them once
+# per graph and holds them as long as the graph lives: D, the scaled weights,
+# measures, neighbour lists and degrees from the start, the 2^n mask tables
+# on first read, and the certificates of the single-constant oracles as they
+# are computed.  The kernel holds no reference to its graph, so a graph and
+# its kernel are freed together, without a cycle.  Its lists are shared by
+# every reader, and none may change them.
+#
+# What depends on n alone is built once per n and kept for the process: the
+# sorted members of every mask, the masks in member order with their ranks,
+# and the ternary pairs of each domain kind.  The tables for n have 2^n or
+# 3^n entries, so those kept for every n up to the largest hold under 2x
+# (members, order) and 1.5x (pairs) the tables of the largest n, which the
+# first call at that n builds anyway.  The public functions return fresh
+# lists, which a caller may change.
+
+
+class Kernel:
+    """A graph's integer data (see the section comment above).
+
+    d is the least common multiple of the weight and measure denominators;
+    wts[e] = D·w_e in the order of g.edges; mu[i] = D·mu_i; nbrs[i] lists
+    (1 << j, D·w_ij) for every neighbour j of i; deg[i] is D times the
+    weighted degree of i.  tables is mask_tables(g), built on first read,
+    and certificates maps an oracle's name to its certificate on g."""
+
+    def __init__(self, g: Graph):
+        # lcm is called pairwise, as in simplex._lcm
+        d = 1
+        for _, _, w in g.edges:
+            d = lcm(d, w.denominator)
+        for m in g.mu:
+            d = lcm(d, m.denominator)
+        self.n = g.n
+        self.d = d
+        self.wts = [w.numerator * (d // w.denominator) for _, _, w in g.edges]
+        self.mu = [m.numerator * (d // m.denominator) for m in g.mu]
+        self.nbrs = [[] for _ in range(g.n)]
+        self.deg = [0] * g.n
+        for (u, v, _), wi in zip(g.edges, self.wts):
+            self.nbrs[u].append((1 << v, wi))
+            self.nbrs[v].append((1 << u, wi))
+            self.deg[u] += wi
+            self.deg[v] += wi
+        self.certificates = {}
+
+    @functools.cached_property
+    def tables(self):
+        size = 1 << self.n
+        cut, deg, vol = [0] * size, [0] * size, [0] * size
+        _extend(cut, deg, vol, range(1, size), self.nbrs, self.deg, self.mu)
+        return self.d, cut, deg, vol
+
 
 def _scaled_weights(g: Graph):
-    """(D, wts, mu): D is the least common multiple of g's weight and measure
-    denominators, wts[e] = D·w_e in the order of g.edges and mu[i] = D·mu_i.
-    lcm is called pairwise, as in simplex._lcm: verify calls this once per
-    candidate."""
-    d = 1
-    for _, _, w in g.edges:
-        d = lcm(d, w.denominator)
-    for m in g.mu:
-        d = lcm(d, m.denominator)
-    return (
-        d,
-        [w.numerator * (d // w.denominator) for _, _, w in g.edges],
-        [m.numerator * (d // m.denominator) for m in g.mu],
-    )
+    """(D, wts, mu) of g's kernel: D is the least common multiple of g's
+    weight and measure denominators, wts[e] = D·w_e in the order of g.edges
+    and mu[i] = D·mu_i."""
+    k = g.kernel
+    return k.d, k.wts, k.mu
 
 
 def scaled_graph(g: Graph):
@@ -188,15 +243,8 @@ def scaled_graph(g: Graph):
     multiple of their denominators.  Returns (D, nbrs, deg, mu): nbrs[i]
     lists (1 << j, D·w_ij) for every neighbour j of i, deg[i] is D times the
     weighted degree of i and mu[i] = D·mu_i."""
-    d, wts, mu = _scaled_weights(g)
-    nbrs = [[] for _ in range(g.n)]
-    deg = [0] * g.n
-    for (u, v, _), wi in zip(g.edges, wts):
-        nbrs[u].append((1 << v, wi))
-        nbrs[v].append((1 << u, wi))
-        deg[u] += wi
-        deg[v] += wi
-    return d, nbrs, deg, mu
+    k = g.kernel
+    return k.d, k.nbrs, k.deg, k.mu
 
 
 def mask_tables(g: Graph):
@@ -205,13 +253,9 @@ def mask_tables(g: Graph):
     With D from scaled_graph, for the vertex set S of mask m: cut[m] =
     D·|∂S|, deg[m] = D·(sum of weighted degrees over S) and vol[m] = D·mu(S),
     all exact ints.  Each entry extends the entry without its lowest vertex.
-    Returns (D, cut, deg, vol).
+    Returns (D, cut, deg, vol), built once per graph.
     """
-    d, nbrs, deg1, mu1 = scaled_graph(g)
-    size = 1 << g.n
-    cut, deg, vol = [0] * size, [0] * size, [0] * size
-    _extend(cut, deg, vol, range(1, size), nbrs, deg1, mu1)
-    return d, cut, deg, vol
+    return g.kernel.tables
 
 
 def _extend(cut, deg, vol, masks, nbrs, deg1, mu1):
@@ -264,11 +308,27 @@ def lazy_mask_tables(g: Graph):
 def mask_members(n: int) -> list:
     """Sorted vertex tuple of every bitmask over n vertices.  Comparing
     these tuples is the serialized order that breaks certificate ties."""
+    return list(_mask_members(n))
+
+
+@functools.cache
+def _mask_members(n: int) -> tuple:
     members = [()] * (1 << n)
     for m in range(1, 1 << n):
         low = m & -m
         members[m] = (low.bit_length() - 1,) + members[m ^ low]
-    return members
+    return tuple(members)
+
+
+@functools.cache
+def _member_order(n: int):
+    """(order, rank): every mask over n vertices in ascending order of its
+    sorted members, and each mask's place in that order."""
+    order = tuple(sorted(range(1 << n), key=_mask_members(n).__getitem__))
+    rank = [0] * (1 << n)
+    for i, m in enumerate(order):
+        rank[m] = i
+    return order, tuple(rank)
 
 
 def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
@@ -279,6 +339,11 @@ def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
     "nonzero" keeps every pair but (∅, ∅), "nonconstant_2cut" the pairs with
     A and B both nonempty.
     """
+    return list(_ternary_pairs(n, domain_kind))
+
+
+@functools.cache
+def _ternary_pairs(n: int, domain_kind: str) -> tuple:
     full = (1 << n) - 1
     two_cut = domain_kind == "nonconstant_2cut"
     out = []
@@ -291,12 +356,9 @@ def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
             if mask_b == 0:
                 break
             mask_b = (mask_b - 1) & rest
-    members = mask_members(n)
-    rank = [0] * (1 << n)
-    for i, m in enumerate(sorted(range(1 << n), key=members.__getitem__)):
-        rank[m] = i
+    _, rank = _member_order(n)
     out.sort(key=lambda ab: rank[ab[0]] << n | rank[ab[1]])
-    return out
+    return tuple(out)
 
 
 def ternary_ratios(tables, pairs, ratio) -> list:

@@ -9,6 +9,10 @@ oracles take their vertex cap as an argument.  The k-way caps live in this
 module alone: k_way_dual_cheeger refuses (2k+1)^n, and minmax_k_cut
 (k+1)^n·2^k (k^n·2^k for partitions), above DEFAULT_WORK_CAP; spectrum's
 k-way reports call these oracles and skip a k they refuse.
+
+The six single-constant oracles compute a graph's certificate once: after
+their checks, which still run on every call, they return the one kept on
+the graph's kernel (graph.Kernel.certificates) under their name.
 """
 
 from __future__ import annotations
@@ -65,6 +69,16 @@ def _best_ratio(candidates, maximize, key):
     return best[0], best[1], best[2]
 
 
+def _once(g: Graph, name: str, solve, *args, **kwargs) -> CutCertificate:
+    """solve(g, *args, **kwargs), computed once per graph and kept on its
+    kernel under name.  An error is not kept: the next call raises it
+    again."""
+    certs = g.kernel.certificates
+    if name not in certs:
+        certs[name] = solve(g, *args, **kwargs)
+    return certs[name]
+
+
 def _subset_oracle(g: Graph, ratio, maximize: bool) -> CutCertificate:
     """Optimum of ratio(cut(S), vol(S), vol(V - S)) = (num, den) over the
     bipartitions {S, V - S} with vertex 0 in S and S != V.  A bipartition
@@ -101,7 +115,7 @@ def cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"cheeger oracle capped at n={cap}")
-    return _subset_oracle(g, lambda c, va, vc: (c, min(va, vc)), maximize=False)
+    return _once(g, "cheeger", _subset_oracle, lambda c, va, vc: (c, min(va, vc)), maximize=False)
 
 
 def maxcut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -109,7 +123,7 @@ def maxcut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"maxcut oracle capped at n={cap}")
-    return _subset_oracle(g, lambda c, va, vc: (2 * c, va + vc), maximize=True)
+    return _once(g, "maxcut", _subset_oracle, lambda c, va, vc: (2 * c, va + vc), maximize=True)
 
 
 def mincut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -117,7 +131,7 @@ def mincut(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"mincut oracle capped at n={cap}")
-    return _subset_oracle(g, lambda c, va, vc: (2 * c, va + vc), maximize=False)
+    return _once(g, "mincut", _subset_oracle, lambda c, va, vc: (2 * c, va + vc), maximize=False)
 
 
 def anti_cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
@@ -125,7 +139,9 @@ def anti_cheeger(g: Graph, cap: int = DEFAULT_SUBSET_CAP) -> CutCertificate:
         raise BadK("need at least two vertices")
     if g.n > cap:
         raise TooLarge(f"anti-Cheeger oracle capped at n={cap}")
-    return _subset_oracle(g, lambda c, va, vc: (c, max(va, vc)), maximize=True)
+    return _once(
+        g, "anti_cheeger", _subset_oracle, lambda c, va, vc: (c, max(va, vc)), maximize=True
+    )
 
 
 def _splits(u: int):
@@ -149,7 +165,7 @@ def _split_max(n: int, cut: list) -> list:
     return out
 
 
-def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
+def _pair_oracle(g: Graph, modified: bool) -> CutCertificate:
     """max over disjoint (A, B), A ∪ B = U nonempty, of
     (2·w(A, B) + bnd) / (vol(U) + bnd), where bnd = cut(U) when modified
     and 0 otherwise.  With 2·w(A, B) = cut(A) + cut(B) - cut(U), every U
@@ -158,8 +174,6 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
     Dinkelbach skips G = 0.  A positive numerator over 0 (two adjacent
     vertices of measure 0) is +inf and raises ZeroMeasure, as does a graph
     where every U is 0/0."""
-    if g.n > cap:
-        raise TooLarge(f"pair oracle capped at n={cap}")
     _, cut, _, volm = mask_tables(g)
     best_split = _split_max(g.n, cut)
 
@@ -187,11 +201,15 @@ def _pair_oracle(g: Graph, cap: int, modified: bool) -> CutCertificate:
 
 
 def dual_cheeger(g: Graph, cap: int = DEFAULT_PAIR_CAP) -> CutCertificate:
-    return _pair_oracle(g, cap, modified=False)
+    if g.n > cap:
+        raise TooLarge(f"pair oracle capped at n={cap}")
+    return _once(g, "dual_cheeger", _pair_oracle, modified=False)
 
 
 def modified_dual_cheeger(g: Graph, cap: int = DEFAULT_PAIR_CAP) -> CutCertificate:
-    return _pair_oracle(g, cap, modified=True)
+    if g.n > cap:
+        raise TooLarge(f"pair oracle capped at n={cap}")
+    return _once(g, "modified_dual_cheeger", _pair_oracle, modified=True)
 
 
 def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:

@@ -97,6 +97,15 @@ def find_feasible(
     rows: equality constraints ({var_index: a_j}, rhs, d), ints with d > 0,
         for sum (a_j/d)·x_j = rhs/d.
     """
+    point = _feasible_point(den, bounds, rows)
+    if point is None:
+        return None
+    return [Fraction(num, den * d) for num, d in point]
+
+
+def _feasible_point(den, bounds, rows) -> Optional[List[Tuple[int, int]]]:
+    """find_feasible's point in ints, x_j = num_j/(den·d_j) as (num_j, d_j),
+    or None: for callers that need the verdict only."""
     low = [lo for lo, _ in bounds]
     span = [hi - lo for lo, hi in bounds]
     if any(sp < 0 for sp in span):
@@ -210,4 +219,4 @@ def find_feasible(
     point = [(lo, 1) for lo in low]
     for j, (num, d) in zip(active, s_val):
         point[j] = (low[j] * d + num * den, d)
-    return [Fraction(num, den * d) for num, d in point]
+    return point

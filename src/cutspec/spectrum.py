@@ -211,14 +211,20 @@ def inequality_suite(g: Graph) -> List[InequalityReport]:
 def kway_nodal_reports(g: Graph) -> List[InequalityReport]:
     """Lower half of the k-way bound on scanned ternary eigenpairs: an
     eigenvalue c whose eigenvector has m support domains obeys
-    1 - h_m+ <= c, reported for each m the k-way oracle accepts."""
+    1 - h_m+ <= c, reported for each m the k-way oracle accepts.  The
+    oracle runs once per distinct m."""
     out = []
+    h_plus = {}  # m -> h_m+, or None where the k-way oracle refuses m
     for value, cert in spectrum_scan("signless", g):
         x = indicator(g, *cert.sets)
         m = len(analyze(g, x, "support_based").support_domains)
-        try:
-            hm = oracles.k_way_dual_cheeger(g, m).value
-        except (BadK, TooLarge):
+        if m not in h_plus:
+            try:
+                h_plus[m] = oracles.k_way_dual_cheeger(g, m).value
+            except (BadK, TooLarge):
+                h_plus[m] = None
+        hm = h_plus[m]
+        if hm is None:
             continue
         out.append(
             _report(

@@ -4,12 +4,16 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from cutspec import cli
+from cutspec import dinkelbach as dk
 from cutspec import functionals as fn
+from cutspec import graph as gr
 from cutspec import oracles as orc
 from cutspec.graph import GENERATORS
 
@@ -570,3 +574,125 @@ def test_no_exception_escapes_any_command(tmp_path, capsys):
             assert code in (0, 1, 2), argv
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# -- one kernel per graph -------------------------------------------------------
+
+
+def _clear_per_n_tables():
+    """Empty the tables that graph keeps per n, so the next command builds
+    them anew."""
+    for per_n in (gr._mask_members, gr._member_order, gr._ternary_pairs):
+        per_n.cache_clear()
+
+
+# n = 5; the second graph differs from the first in one weight, and the
+# measure (with a zero) goes with the first edge list
+KERNEL_GRAPH = "n 5\n0 1\n1 2 2\n2 3\n3 4\n0 4 1/2\n1 3\n"
+KERNEL_GRAPH_REWEIGHTED = KERNEL_GRAPH.replace("1 3\n", "1 3 3\n")
+KERNEL_MEASURE = "0 1\n1 2\n2 1/2\n3 0\n4 3\n"
+KERNEL_COMMANDS = (
+    ["oracle", "cheeger"],
+    ["oracle", "maxcut"],
+    ["oracle", "mincut"],
+    ["oracle", "anti_cheeger"],
+    ["oracle", "dual_cheeger"],
+    ["oracle", "modified_dual_cheeger"],
+    ["oracle", "ratio:cheeger_tv"],
+    ["oracle", "k_way_dual_cheeger", "--k", "2"],
+    ["oracle", "minmax_k_cut", "--k", "2"],
+    ["scan", "signless"],
+    ["scan", "one_lap"],
+    ["scan", "hat_signless"],
+    ["scan", "maxcut_inf"],
+    ["scan", "cheeger_new"],
+    ["scan", "anti_cheeger"],
+    ["cut", "cheeger_tv", "--inner", "exact"],
+    ["cut", "dual", "--inner", "exact"],
+    ["cut", "maxcut_ratio", "--inner", "exact"],
+    ["cut", "anti", "--inner", "flip"],
+    ["cut", "mdual", "--inner", "flip"],
+    ["check"],
+)
+
+
+def test_kernel_never_leaks_between_graphs(tmp_path, capsys):
+    """Commands alternate between two graphs that differ in one weight and
+    an edge list with and without --measure, each graph parsed once, so
+    every command reads a kernel that the commands before it filled.  Each
+    output equals the output for a freshly parsed graph and empty per-n
+    tables."""
+    first, second, measure = (tmp_path / name for name in ("a.txt", "b.txt", "mu.txt"))
+    first.write_text(KERNEL_GRAPH)
+    second.write_text(KERNEL_GRAPH_REWEIGHTED)
+    measure.write_text(KERNEL_MEASURE)
+    graphs = (
+        ["--graph", str(first)],
+        ["--graph", str(second)],
+        ["--graph", str(first), "--measure", str(measure)],
+    )
+
+    def run(argv):
+        code = cli.main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = {}
+    for command in KERNEL_COMMANDS:
+        for g in graphs:
+            _clear_per_n_tables()
+            fresh[(*command, *g)] = run([*command, *g])
+    assert {code for code, _, _ in fresh.values()} == {0, 1, 2}
+
+    parsed = {}
+    real_parse = cli.parse_graph
+
+    def parse_once(text, measure=None):
+        if (text, measure) not in parsed:
+            parsed[(text, measure)] = real_parse(text, measure)
+        return parsed[(text, measure)]
+
+    with mock.patch.object(cli, "parse_graph", parse_once):
+        for order in (graphs, graphs[::-1]):
+            for command in KERNEL_COMMANDS:
+                for g in order:
+                    assert run([*command, *g]) == fresh[(*command, *g)], [*command, *g]
+    assert len(parsed) == 3
+
+
+def test_suite_rows_equal_rows_of_freshly_parsed_graphs(capsys):
+    """A suite over the corpus gives every file the row that _suite_one
+    gives it alone, with the per-n tables built anew."""
+    cli.main(["suite", "--dir", str(CORPUS)])
+    rows = capsys.readouterr().out.splitlines()
+    files = sorted(CORPUS.glob("*.txt"))
+    assert len(rows) == len(files)
+    for path, row in zip(files, rows):
+        _clear_per_n_tables()
+        assert cli._suite_one(str(path)) == row, path.name
+
+
+@pytest.mark.parametrize("name", ["random8a.txt", "tree8.txt"])
+def test_one_suite_row_builds_each_kernel_part_once(name):
+    """A row that runs every stage builds its 2^n tables once, computes each
+    subset oracle (cheeger, maxcut, mincut, anti-Cheeger) and the dual
+    Cheeger pair oracle once, though inequality_suite asks again for
+    cheeger, maxcut and dual_cheeger, and calls ratio_objective once per
+    Dinkelbach solve, for its start."""
+    counts = Counter()
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    with (
+        mock.patch.object(gr, "_extend", counted("tables", gr._extend)),
+        mock.patch.object(orc, "_subset_oracle", counted("subset", orc._subset_oracle)),
+        mock.patch.object(orc, "_pair_oracle", counted("pair", orc._pair_oracle)),
+        mock.patch.object(dk, "ratio_objective", counted("ratio", dk.ratio_objective)),
+    ):
+        row = json.loads(cli._suite_one(str(CORPUS / name)))
+    assert row["inequalities_hold"] and row["dinkelbach_cheeger_ok"] and row["n"] == 8
+    assert counts == {"tables": 1, "subset": 4, "pair": 1, "ratio": 2}

@@ -112,6 +112,24 @@ def test_scan_sorted_and_verified(small_corpus):
                 assert eg.verify(pid, g, lam, x).verdict
 
 
+def test_ternary_scans_read_verdicts_only(small_corpus, monkeypatch):
+    """The ternary scans build no Fraction point and no witness: with
+    find_feasible and _witness made to raise, they return what they return
+    otherwise."""
+    graphs = [g for _, g in sorted(small_corpus.items()) if g.n <= 5]
+    ids = ("signless", "one_lap", "hat_signless")
+    want = [eg.spectrum_scan(sid, g) for g in graphs for sid in ids]
+
+    def refuse(*args):
+        raise AssertionError("a scan built a point or a witness")
+
+    monkeypatch.setattr(eg, "find_feasible", refuse)
+    monkeypatch.setattr(eg, "_witness", refuse)
+    assert [eg.spectrum_scan(sid, g) for g in graphs for sid in ids] == want
+    with pytest.raises(AssertionError):
+        eg.verify("signless", gr.path(2), F(0), vec(gr.path(2), [1, -1]))
+
+
 def test_maxcut_scan_gap():
     # consecutive scan values differ by at least 2 / vol(V)
     for g in (gr.path(4), gr.cycle(5), gr.star_triangle(2)):

@@ -12,7 +12,9 @@ eigen.verify, as rationals, to the Fraction systems of the builders it
 replaced.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import product
@@ -886,6 +888,38 @@ def test_ternary_pairs_in_certificate_order(kind):
         ]
         pairs.sort(key=lambda ab: tuple(tuple(i for i in range(n) if m >> i & 1) for m in ab))
         assert gr.ternary_pairs(n, kind) == pairs
+
+
+def test_ternary_pairs_give_each_call_its_own_list():
+    """ternary_pairs and mask_members copy one table kept per n: a solve
+    that drops the pairs outside its ratio's domain, or a caller that
+    empties its list, leaves the next call's list as it was."""
+    isolated = gr.Graph.build(4, [(1, 2), (2, 3)])  # dual's G is 0 at ({0}, ∅)
+    pairs, members = gr.ternary_pairs(4), gr.mask_members(4)
+    assert dk.solve("dual", isolated).converged
+    assert gr.ternary_pairs(4) == pairs and gr.mask_members(4) == members
+    kept = list(pairs)
+    pairs.clear()
+    members.clear()
+    assert gr.ternary_pairs(4) == kept and len(gr.mask_members(4)) == 16
+    assert gr._ternary_pairs(4, "nonzero") is gr._ternary_pairs(4, "nonzero")
+
+
+def test_graph_and_kernel_are_freed_together_without_a_cycle():
+    """The kernel holds no reference to its graph: dropping the last
+    reference to a graph frees both at once, with no garbage collection."""
+    g = gr.Graph.build(5, [(0, 1), (1, 2, F(1, 2)), (2, 3), (3, 4), (0, 4)])
+    orc.cheeger(g)
+    orc.dual_cheeger(g)
+    dk.solve("cheeger_tv", g)
+    eg.spectrum_scan("signless", g)
+    graph_ref, kernel_ref = weakref.ref(g), weakref.ref(g.kernel)
+    gc.disable()
+    try:
+        del g
+        assert graph_ref() is None and kernel_ref() is None
+    finally:
+        gc.enable()
 
 
 @SETTINGS

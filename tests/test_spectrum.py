@@ -8,7 +8,7 @@ import pytest
 
 from cutspec import graph as gr
 from cutspec import spectrum as sp
-from cutspec.errors import IsolatedVertex, TooLarge
+from cutspec.errors import BadK, IsolatedVertex, TooLarge
 
 TOL = 1e-9
 
@@ -120,6 +120,58 @@ def test_kway_nodal_reports():
         assert reps
         for rep in reps:
             assert rep.holds, (rep.name, rep.lhs, rep.mid)
+
+
+def _kway_nodal_reports_per_eigenvalue(g):
+    """kway_nodal_reports with one k-way oracle call per scanned eigenvalue:
+    the reference for the one call per m."""
+    out = []
+    for value, cert in sp.spectrum_scan("signless", g):
+        x = sp.indicator(g, *cert.sets)
+        m = len(sp.analyze(g, x, "support_based").support_domains)
+        try:
+            hm = sp.oracles.k_way_dual_cheeger(g, m).value
+        except (BadK, TooLarge):
+            continue
+        out.append(
+            sp._report(
+                f"kway_lower_m{m}",
+                float(1 - hm),
+                float(value),
+                float("inf"),
+                {"m": m, "eigenvalue": str(value)},
+            )
+        )
+    return out
+
+
+# scanned eigenvectors with 3, 1 and 1 support domains: the k-way oracle
+# refuses m = 3 at n = 8 ((2m+1)^n is over its work cap) and answers m = 1
+KWAY_REFUSES_M3 = gr.Graph.build(8, [(0, 1), (0, 6), (2, 5), (3, 4), (6, 7)])
+
+
+def test_kway_nodal_reports_call_the_oracle_once_per_m(small_corpus, monkeypatch):
+    """The k-way oracle runs once per distinct number m of support domains,
+    a refused m included, and the reports are those of one call per
+    eigenvalue."""
+    real = sp.oracles.k_way_dual_cheeger
+    graphs = [*small_corpus.values(), KWAY_REFUSES_M3]
+    for g in graphs:
+        want = _kway_nodal_reports_per_eigenvalue(g)
+        calls = []
+        monkeypatch.setattr(
+            sp.oracles, "k_way_dual_cheeger", lambda g, k: calls.append(k) or real(g, k)
+        )
+        got = sp.kway_nodal_reports(g)
+        monkeypatch.undo()
+        assert got == want
+        assert sorted(calls) == sorted(set(calls))
+        ms = [
+            len(sp.analyze(g, sp.indicator(g, *cert.sets), "support_based").support_domains)
+            for _, cert in sp.spectrum_scan("signless", g)
+        ]
+        assert set(calls) == set(ms)
+    assert calls == [3, 1] and len(got) == 2
 
 
 def test_multiplicity_bounds():
