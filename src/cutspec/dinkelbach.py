@@ -6,15 +6,29 @@ convex and positively homogeneous.  The iteration alternates
     x_{k+1} = argopt over Omega of f1 + r_k g2 - (f2 + r_k g1)
     r_{k+1} = Q(x_{k+1})
 
-and stops at exact rational equality r_{k+1} = r_k.  The exact inner
-solver enumerates the scaled ternary vectors (1_A - 1_B)/||.||_1 inside
-Omega, where the inner objective attains its optimum; the flip heuristic
-walks single-vertex moves from seeded random starts.  Both score a
-candidate exactly in integers by the problem record's ternary form
-(F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`.  r_0 is
-functionals.ratio_objective at the start vector; every later r_k is F/G
-at the chosen pair, which is ratio_objective at the chosen x, since Q is
-invariant under positive scaling and F, G share one positive factor.
+and stops at exact rational equality r_{k+1} = r_k.
+
+The exact inner solver's candidates are the scaled ternary vectors
+(1_A - 1_B)/|A ∪ B| inside Omega, where the inner objective attains its
+optimum, in the certificate order of graph.ternary_pairs.  A solve scores
+them once, in integers, by the problem record's ternary form
+(F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`, both times
+L/|A ∪ B| with L = lcm(1..n), so that every candidate's F and G share the
+positive factor 1/(D·L).  The candidates then collapse to their distinct
+points (F, G) with G ≠ 0 (G = 0 lies outside the ratio's domain), each
+kept at its first pair in candidate order, and every step scans only these
+points.  All pairs of a point have its inner value F - r·G, so the first
+optimal point carries the first optimal pair: the certificate.  The flip
+heuristic walks single-vertex moves from seeded random starts, scored by
+the same forms.
+
+r_0 is Q at the start.  For a given x0 it is functionals.ratio_objective
+there.  The default start is the first projected unit vector e_i whose
+ternary pair has G ≠ 0 (e_0 when it has), and r_0 is F/G at that pair;
+only when no e_i has, ratio_objective runs at e_0, to raise the error the
+ratio has there.  Every later r_k is F/G at the chosen pair, which is
+ratio_objective at the chosen x, since Q is invariant under positive
+scaling and F, G share one positive factor.
 """
 
 from __future__ import annotations
@@ -30,10 +44,11 @@ from .eigen import verify
 from .functionals import PROBLEMS, Problem, RVector, ratio_objective
 from .graph import (
     Graph,
+    _ternary_multipliers,
+    _ternary_pairs,
     _ternary_ratios,
     lazy_mask_tables,
     mask_tables,
-    ternary_pairs,
     ternary_ratios,
 )
 from .oracles import CutCertificate
@@ -75,20 +90,6 @@ def _pair_vector(g: Graph, mask_a: int, mask_b: int) -> RVector:
     )
 
 
-def _ternary_terms(pairs, ratios, big_l):
-    """Integers proportional to (F, G) = (f1 - f2, g1 - g2) at the candidate
-    x = (1_A - 1_B)/s, s = |A| + |B|, for every (A, B) in pairs, from their
-    ternary ratios' integer terms.  Both are scaled by the same D·L/s, with
-    L = big_l = lcm(1..n), so they share the positive factor 1/(D·L) across
-    candidates.  Returns (Fs, Gs)."""
-    fs, gs = [], []
-    for (a, b), (f, h) in zip(pairs, ratios):
-        m = big_l // (a | b).bit_count()
-        fs.append(f * m)
-        gs.append(h * m)
-    return fs, gs
-
-
 def solve(
     problem_id: str,
     g: Graph,
@@ -102,8 +103,7 @@ def solve(
     if problem_id not in PROBLEMS:
         raise UnknownProblem(f"no ratio decomposition for {problem_id!r}")
     problem = PROBLEMS[problem_id]
-    unit = lambda i: tuple(Fraction(1) if j == i else ZERO for j in range(g.n))
-    x = project(problem, unit(0) if x0 is None else tuple(Fraction(t) for t in x0))
+    x = project(problem, _unit(g.n, 0) if x0 is None else tuple(Fraction(t) for t in x0))
     if not in_omega(problem, x):
         raise NotInOmega("initial vector not in the feasible set")
     big_l = lcm(*range(1, g.n + 1))
@@ -111,13 +111,8 @@ def solve(
     if inner == "exact_enum":
         if g.n > cap:
             raise TooLarge(f"exact inner solver capped at n={cap}")
-        pairs = ternary_pairs(g.n, problem.domain_kind)
         tables = mask_tables(g)
-        ratios = ternary_ratios(tables, pairs, problem.ternary)
-        fs, gs = _ternary_terms(pairs, ratios, big_l)
-        if 0 in gs:  # outside the ratio's domain
-            keep = [i for i, h in enumerate(gs) if h]
-            pairs, fs, gs = ([t[i] for i in keep] for t in (pairs, fs, gs))
+        pairs, fs, gs = _distinct_points(g.n, problem, tables)
         scale = tables[0] * big_l
         step = lambda r: _exact_step(pairs, fs, gs, scale, problem.opt == "max", r)
     elif inner == "local_flip":
@@ -128,22 +123,10 @@ def solve(
         raise UnknownProblem(f"unknown inner solver {inner!r}")
 
     trace = DinkelbachTrace()
-    try:
+    if x0 is None:
+        x, r = _default_start(problem_id, problem, g, tables, x)
+    else:
         r = ratio_objective(problem_id, g, x)
-    except DegenerateDenominator:
-        # the default start e_0 lies outside the ratio's domain: start from
-        # the first projected unit vector inside it
-        if x0 is not None:
-            raise
-        for i in range(1, g.n):
-            x = project(problem, unit(i))
-            try:
-                r = ratio_objective(problem_id, g, x)
-                break
-            except DegenerateDenominator:
-                pass
-        else:
-            raise
     trace.iterations.append(
         {"k": 0, "r": r, "x": x, "inner_value": None}
     )
@@ -165,6 +148,48 @@ def solve(
     return trace
 
 
+def _unit(n: int, i: int) -> RVector:
+    return tuple(Fraction(1) if j == i else ZERO for j in range(n))
+
+
+def _default_start(problem_id, problem, g, tables, x):
+    """(x_0, r_0) for x = e_0 projected: the first projected unit vector
+    e_i whose ternary pair (A, B), its positive and its negative support,
+    has G ≠ 0, and F/G there."""
+    for i in range(g.n):
+        y = x if i == 0 else project(problem, _unit(g.n, i))
+        pair = (
+            sum(1 << j for j, t in enumerate(y) if t > 0),
+            sum(1 << j for j, t in enumerate(y) if t < 0),
+        )
+        (f,), (h,) = _ternary_ratios(tables, [pair], problem.ternary)
+        if h:
+            return y, Fraction(f, h)
+    # no e_i lies in the ratio's domain: this raises the ratio's error at e_0
+    return x, ratio_objective(problem_id, g, x)
+
+
+def _distinct_points(n, problem, tables):
+    """The exact step's candidates as distinct points (F, G) with G ≠ 0,
+    the terms of the ternary form times L/|A ∪ B| (L = lcm(1..n)), in the
+    order of each point's first pair in candidate order.  Returns (pairs,
+    Fs, Gs), pairs[i] being the first pair of point i."""
+    pairs = _ternary_pairs(n, problem.domain_kind)
+    mults = _ternary_multipliers(n, problem.domain_kind)
+    fs, gs = ternary_ratios(tables, pairs, problem.ternary)
+    first = {}
+    for pair, f, h, m in zip(pairs, fs, gs, mults):
+        point = (f * m, h * m)
+        if point not in first:
+            first[point] = pair
+    kept = [(point, pair) for point, pair in first.items() if point[1]]
+    return (
+        [pair for _, pair in kept],
+        [f for (f, _), _ in kept],
+        [h for (_, h), _ in kept],
+    )
+
+
 def _exact_step(pairs, fs, gs, scale, maximize, r):
     """First optimum, in candidate order, of the inner objective
     (F - r·G)(x) = (q·F_i - p·G_i)/(q·scale) for r = p/q.  Returns the
@@ -179,9 +204,9 @@ def _exact_step(pairs, fs, gs, scale, maximize, r):
 def _flip_step(problem, n, tables, big_l, r, rng, restarts):
     """Single-vertex moves between A, B and neither; best of R seeded
     random starts.  Heuristic: no optimality claim.  A move (A, B) is scored
-    as q·F - p·G for r = p/q with the integer terms of _ternary_terms, the
-    inner objective times q·D·L; the mask tables fill as moves reach new
-    masks, so n has no cap.  Returns the pair, the inner value and the
+    as (q·F - p·G)·L/|A ∪ B| for r = p/q with the problem's ternary form,
+    the inner objective times q·D·L; the mask tables fill as moves reach
+    new masks, so n has no cap.  Returns the pair, the inner value and the
     pair's ratio F/G."""
     maximize = problem.opt == "max"
     two_cut = problem.domain_kind == "nonconstant_2cut"
@@ -190,10 +215,14 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
     def feasible(mask_a, mask_b):
         return (mask_a and mask_b) if two_cut else (mask_a or mask_b)
 
-    def scores(moves):
-        ratios = _ternary_ratios(tables, moves, problem.ternary)
-        fs, gs = _ternary_terms(moves, ratios, big_l)
-        return [q * f - p * h for f, h in zip(fs, gs)]
+    def scored(moves):
+        """(move, score, F, G) for every move."""
+        fs, gs = _ternary_ratios(tables, moves, problem.ternary)
+        vals = [
+            (q * f - p * h) * (big_l // (a | b).bit_count())
+            for (a, b), f, h in zip(moves, fs, gs)
+        ]
+        return zip(moves, vals, fs, gs)
 
     best = None
     for _ in range(restarts):
@@ -207,7 +236,7 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
         if not feasible(mask_a, mask_b):
             mask_a = (mask_a | 1) & ~2
             mask_b = (mask_b | (2 if n > 1 else 0)) & ~1
-        (cur,) = scores([(mask_a, mask_b)])
+        ((_, cur, f, h),) = scored([(mask_a, mask_b)])
         improved = True
         while improved:
             improved = False
@@ -223,12 +252,11 @@ def _flip_step(problem, n, tables, big_l, r, rng, restarts):
                     )
                     if move != (mask_a, mask_b) and feasible(*move)
                 ]
-                for move, val in zip(moves, scores(moves)):
+                for move, val, move_f, move_h in scored(moves):
                     if val > cur if maximize else val < cur:
-                        (mask_a, mask_b), cur = move, val
+                        (mask_a, mask_b), cur, f, h = move, val, move_f, move_h
                         improved = True
         # a walk that ends at G = 0 ends outside the ratio's domain
-        ((f, h),) = _ternary_ratios(tables, [(mask_a, mask_b)], problem.ternary)
         if not h:
             continue
         if best is None or (cur > best[1] if maximize else cur < best[1]):

@@ -390,7 +390,7 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         constant = id == "one_lap" and _verdict(id, g, 0, 1, [1] * g.n)
         members = mask_members(g.n)
         pairs = ternary_pairs(g.n)
-        ratios = ternary_ratios(mask_tables(g), pairs, EIGENPROBLEMS[id].ternary)
+        nums, dens = ternary_ratios(mask_tables(g), pairs, EIGENPROBLEMS[id].ternary)
         scaled = scaled_graph(g)
         # reduced value -> its first verified pair, which in certificate
         # order is its certificate; later pairs of that value skip verify,
@@ -402,7 +402,7 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
         # point or witness is built.
         accepted = {}
         rejected = set()
-        for (a, b), (num, den) in zip(pairs, ratios):
+        for (a, b), num, den in zip(pairs, nums, dens):
             if den == 0:  # outside the ratio's domain, as (V, ∅) is for one_lap
                 if constant and (a, b) == (full, 0):
                     accepted.setdefault((0, 1), (a, b))

@@ -3,7 +3,13 @@
 All values are exact rationals.  An RVector is a tuple of Fractions of
 length g.n.  Medians are mu-weighted, and median_interval returns the
 full minimizer interval.  PROBLEMS holds one record per ratio problem;
-every other module looks a problem up there.
+every other module looks a problem up there.  A record's ternary form
+maps integer columns over candidate pairs (A, B) of graph.TernaryColumns
+(tv, tv_plus, vol(A ∪ B) and the median distance
+md = min(vol(A ∪ B), vol(V) - |vol(A) - vol(B)|)) to the ratio's
+numerator and denominator columns at 1_A - 1_B.  The Dinkelbach steps
+and the ternary scans read their ratios through these forms; the tests
+hold each form to ratio_objective, the ratio's Fraction definition.
 """
 
 from __future__ import annotations
@@ -98,10 +104,12 @@ class Problem:
     """One cut problem: its ratio objective, the eigenproblem whose
     stationarity condition the ratio's critical points meet, and the cut
     constant oracles.ORACLES[oracle] whose value, or 1 minus it when dual,
-    is the ratio's optimum over domain_kind.  ternary maps the integer terms
-    (tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) that
-    graph.ternary_ratios passes for 1_A - 1_B, all scaled by the same D of
-    graph.mask_tables, to the ratio's (numerator, denominator) there."""
+    is the ratio's optimum over domain_kind.  ternary is the ratio's integer
+    form: it maps the columns of graph.TernaryColumns (tv, tv_plus, vol_u,
+    md, and the ints vol_v and two_e, all scaled by the same D of
+    graph.mask_tables) to the lists of the ratio's numerators and
+    denominators at 1_A - 1_B over the columns' pairs.  It builds only the
+    columns it reads, each once."""
 
     ratio: str
     eigen: str
@@ -112,33 +120,40 @@ class Problem:
     ternary: Callable
 
 
+def _mdual_form(c):
+    """The ternary form of mdual, (tv_plus, tv_plus + tv), reading each
+    column once."""
+    tvp = c.tv_plus()
+    return tvp, [s + t for s, t in zip(tvp, c.tv())]
+
+
 PROBLEMS = {
     p.ratio: p
     for p in (
         # ratio, eigen, oracle, dual, opt, domain_kind, then ternary
         Problem(
             "cheeger_tv", "one_lap", "cheeger", False, "min", "nonconstant_2cut",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, md),
+            lambda c: (c.tv(), c.md()),
         ),
         Problem(
             "cheeger_new", "cheeger_new", "cheeger", False, "min", "nonconstant_2cut",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (two_e - tvp, md),
+            lambda c: ([c.two_e - t for t in c.tv_plus()], c.md()),
         ),
         Problem(
             "dual", "signless", "dual_cheeger", True, "min", "nonzero",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, vol_u),
+            lambda c: (c.tv_plus(), c.vol_u()),
         ),
         Problem(
             "mdual", "hat_signless", "modified_dual_cheeger", True, "min", "nonzero",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tvp, tvp + tv_),
+            _mdual_form,
         ),
         Problem(
             "maxcut_ratio", "maxcut_inf", "maxcut", False, "max", "nonzero",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, vol_v),
+            lambda c: (c.tv(), [c.vol_v] * len(c.pairs)),
         ),
         Problem(
             "anti", "anti_cheeger", "anti_cheeger", False, "max", "nonzero",
-            lambda tv_, tvp, md, vol_u, vol_v, two_e: (tv_, 2 * vol_v - md),
+            lambda c: (c.tv(), [2 * c.vol_v - m for m in c.md()]),
         ),
     )
 }

@@ -4,6 +4,15 @@ Vertices are integers in [0, n).  Edge weights and vertex measures are
 `fractions.Fraction` throughout, so every volume, boundary and cut value
 computed downstream is an exact rational.  The default vertex measure is
 the weighted degree.
+
+The exhaustive loops read a graph through its integer kernel (see the
+section comment at Kernel).  The ternary vectors 1_A - 1_B are read in
+columns: TernaryColumns builds one list per integer term over a sequence
+of pairs (A, B), each by one list comprehension, and a ratio's form
+(functionals.Problem.ternary) builds only the columns it reads.  The
+median distance column uses the identity
+md = min(vol(A ∪ B), vol(V) - |vol(A) - vol(B)|), the least of the costs
+of the levels 0, 1 and -1.
 """
 
 from __future__ import annotations
@@ -186,11 +195,13 @@ def is_connected(g: Graph) -> bool:
 #
 # What depends on n alone is built once per n and kept for the process: the
 # sorted members of every mask, the masks in member order with their ranks,
-# and the ternary pairs of each domain kind.  The tables for n have 2^n or
-# 3^n entries, so those kept for every n up to the largest hold under 2x
-# (members, order) and 1.5x (pairs) the tables of the largest n, which the
-# first call at that n builds anyway.  The public functions return fresh
-# lists, which a caller may change.
+# the ternary pairs of each domain kind (the pairs of "nonconstant_2cut" are
+# the very pair objects of "nonzero") and the Dinkelbach multipliers
+# L/|A ∪ B| of those pairs.  The tables for n have 2^n or 3^n entries, so
+# those kept for every n up to the largest hold under 2x (members, order)
+# and 1.5x (pairs) the tables of the largest n, which the first call at
+# that n builds anyway.  The public functions return fresh lists, which a
+# caller may change.
 
 
 class Kernel:
@@ -273,33 +284,40 @@ def _extend(cut, deg, vol, masks, nbrs, deg1, mu1):
 
 class _LazyTable(dict):
     """One of the cut, deg and vol tables of lazy_mask_tables: a mask's
-    entry is computed, for all three tables, when first read."""
+    entry is computed when first read, by step(entry, i, prev) from the
+    entry of prev, the mask without its lowest vertex i, and kept.  Each
+    table fills itself, so none refers to another, and each is freed when
+    its last reader drops it, without the cyclic collector."""
 
-    def __init__(self, fill):
+    def __init__(self, step):
         super().__init__()
-        self.fill = fill
+        self.step = step
+        self[0] = 0
 
     def __missing__(self, m):
-        self.fill(m)
-        return self[m]
+        chain = []
+        while m not in self:
+            chain.append(m)
+            m &= m - 1
+        value = self[m]
+        for m in reversed(chain):
+            low = m & -m
+            value = self.step(value, low.bit_length() - 1, m ^ low)
+            self[m] = value
+        return value
 
 
 def lazy_mask_tables(g: Graph):
     """mask_tables(g) for any n: cut, deg and vol are dicts that compute a
-    mask's entries on first read, by the same lowest-vertex recurrence, and
-    keep them.  Key -1 holds the whole vertex set, as the last entry of the
+    mask's entry on first read, by the same lowest-vertex recurrence, and
+    keep it.  Key -1 holds the whole vertex set, as the last entry of the
     2^n lists does.  Returns (D, cut, deg, vol)."""
     d, nbrs, deg1, mu1 = scaled_graph(g)
-
-    def fill(m):
-        chain = []
-        while m not in vol:
-            chain.append(m)
-            m &= m - 1
-        _extend(cut, deg, vol, reversed(chain), nbrs, deg1, mu1)
-
-    cut, deg, vol = _LazyTable(fill), _LazyTable(fill), _LazyTable(fill)
-    cut[0] = deg[0] = vol[0] = 0
+    cut = _LazyTable(
+        lambda c, i, prev: c + deg1[i] - 2 * sum(wi for bit, wi in nbrs[i] if prev & bit)
+    )
+    deg = _LazyTable(lambda c, i, prev: c + deg1[i])
+    vol = _LazyTable(lambda c, i, prev: c + mu1[i])
     full = (1 << g.n) - 1
     deg[-1], vol[-1] = deg[full], vol[full]
     return d, cut, deg, vol
@@ -344,14 +362,17 @@ def ternary_pairs(n: int, domain_kind: str = "nonzero") -> list:
 
 @functools.cache
 def _ternary_pairs(n: int, domain_kind: str) -> tuple:
+    if domain_kind == "nonconstant_2cut":
+        # the "nonzero" pairs with A and B nonempty, in the same order: the
+        # two tuples share their pair objects
+        return tuple(ab for ab in _ternary_pairs(n, "nonzero") if ab[0] and ab[1])
     full = (1 << n) - 1
-    two_cut = domain_kind == "nonconstant_2cut"
     out = []
     for mask_a in range(1 << n):
         rest = ~mask_a & full
         mask_b = rest
         while True:
-            if (mask_a and mask_b) if two_cut else (mask_a or mask_b):
+            if mask_a or mask_b:
                 out.append((mask_a, mask_b))
             if mask_b == 0:
                 break
@@ -361,29 +382,82 @@ def _ternary_pairs(n: int, domain_kind: str) -> tuple:
     return tuple(out)
 
 
-def ternary_ratios(tables, pairs, ratio) -> list:
-    """ratio(tv, tv_plus, median distance, vol(A ∪ B), vol(V), 2|E|) of
-    1_A - 1_B for every (A, B) in pairs, its terms ints scaled by the D of
-    tables = mask_tables(g) or lazy_mask_tables(g): tv = cut(A) + cut(B),
-    tv_plus = deg(A ∪ B) - tv + cut(A ∪ B), and the median distance is the
-    least mu-weighted distance to a level -1, 0 or 1."""
-    return _ternary_ratios(tables, pairs, ratio)
+@functools.cache
+def _ternary_multipliers(n: int, domain_kind: str) -> tuple:
+    """L // |A ∪ B| for every pair (A, B) of _ternary_pairs(n, domain_kind),
+    with L = lcm(1..n): the factor that takes the terms of 1_A - 1_B to
+    those of the candidate (1_A - 1_B)/|A ∪ B| of norm 1, times L."""
+    big_l = lcm(*range(1, n + 1))
+    per_size = [0] + [big_l // s for s in range(1, n + 1)]
+    return tuple(per_size[(a | b).bit_count()] for a, b in _ternary_pairs(n, domain_kind))
 
 
-def _ternary_ratios(tables, pairs, ratio) -> list:
+class TernaryColumns:
+    """The integer terms of the ternary vectors 1_A - 1_B over pairs, one
+    list per term in the order of pairs, all scaled by the D of tables =
+    mask_tables(g) or lazy_mask_tables(g).  Each method builds its list
+    anew, so a ratio's form builds only the terms it reads, and reads each
+    once:
+
+      tv      total variation, cut(A) + cut(B)
+      tv_plus signless total variation, deg(A ∪ B) - tv + cut(A ∪ B)
+      vol_u   vol(A ∪ B)
+      md      median distance, the least mu-weighted distance to a level
+              -1, 0 or 1: min(vol(A ∪ B), vol(V) - |vol(A) - vol(B)|), since
+              the levels -1 and 1 cost vol(V) - vol(B) + vol(A) and
+              vol(V) - vol(A) + vol(B), and the level 0 costs vol(A ∪ B)
+
+    vol_v = vol(V) and two_e = 2|E| (D times the total weighted degree) are
+    ints."""
+
+    def __init__(self, tables, pairs):
+        self.tables = tables
+        self.pairs = pairs
+
+    @property
+    def vol_v(self) -> int:
+        return self.tables[3][-1]
+
+    @property
+    def two_e(self) -> int:
+        return self.tables[2][-1]
+
+    def tv(self) -> list:
+        cut = self.tables[1]
+        return [cut[a] + cut[b] for a, b in self.pairs]
+
+    def tv_plus(self) -> list:
+        _, cut, deg, _ = self.tables
+        return [deg[a | b] + cut[a | b] - cut[a] - cut[b] for a, b in self.pairs]
+
+    def vol_u(self) -> list:
+        vol = self.tables[3]
+        return [vol[a | b] for a, b in self.pairs]
+
+    def md(self) -> list:
+        # at most one of A and B holds more than half of vol(V), and md is
+        # vol(V) - |vol(A) - vol(B)| exactly when one does
+        vol = self.tables[3]
+        vol_v = vol[-1]
+        return [
+            vol_v - vol[a] + vol[b] if 2 * vol[a] > vol_v
+            else vol_v - vol[b] + vol[a] if 2 * vol[b] > vol_v
+            else vol[a] + vol[b]
+            for a, b in self.pairs
+        ]
+
+
+def ternary_ratios(tables, pairs, form):
+    """form(TernaryColumns(tables, pairs)): a ratio's integer numerators and
+    denominators at 1_A - 1_B, as two lists in the order of pairs."""
+    return _ternary_ratios(tables, pairs, form)
+
+
+def _ternary_ratios(tables, pairs, form):
     # ternary_ratios for callers that score a few pairs at a time, as the
     # Dinkelbach flip step does per vertex: a private name, so the layer
     # spans of perfbench/spans.py do not record every call
-    _, cut, deg, volm = tables
-    vol_v, two_e = volm[-1], deg[-1]
-    out = []
-    for a, b in pairs:
-        u = a | b
-        tv = cut[a] + cut[b]
-        rest = vol_v - volm[u]
-        md = min(rest + 2 * volm[a], volm[a] + volm[b], 2 * volm[b] + rest)
-        out.append(ratio(tv, deg[u] - tv + cut[u], md, volm[u], vol_v, two_e))
-    return out
+    return form(TernaryColumns(tables, pairs))
 
 
 # -- small graph parameters -------------------------------------------------
@@ -400,22 +474,28 @@ def independence_number(g: Graph):
         adj_mask[u] |= 1 << v
         adj_mask[v] |= 1 << u
     best = [0, 0]
-
-    def grow(chosen: int, size: int, candidates: int):
-        if size + bin(candidates).count("1") <= best[0]:
-            return
-        if candidates == 0:
-            if size > best[0]:
-                best[0], best[1] = size, chosen
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        # branch: take v, or drop it
-        grow(chosen | (1 << v), size + 1, candidates & ~((1 << v) | adj_mask[v]))
-        grow(chosen, size, candidates & ~(1 << v))
-
-    grow(0, 0, (1 << g.n) - 1)
+    _grow_independent(adj_mask, best, 0, 0, (1 << g.n) - 1)
     witness = frozenset(i for i in range(g.n) if best[1] >> i & 1)
     return best[0], witness
+
+
+def _grow_independent(adj_mask, best, chosen: int, size: int, candidates: int):
+    """Branch and bound below the independent set chosen (of size size)
+    with the vertices candidates still free; best = [size, set] of the
+    largest found so far.  A module function, not a closure that names
+    itself, so a call leaves no reference cycle behind."""
+    if size + candidates.bit_count() <= best[0]:
+        return
+    if candidates == 0:
+        if size > best[0]:
+            best[0], best[1] = size, chosen
+        return
+    v = (candidates & -candidates).bit_length() - 1
+    # branch: take v, or drop it
+    _grow_independent(
+        adj_mask, best, chosen | (1 << v), size + 1, candidates & ~((1 << v) | adj_mask[v])
+    )
+    _grow_independent(adj_mask, best, chosen, size, candidates & ~(1 << v))
 
 
 def maximum_matching(g: Graph) -> int:
@@ -423,23 +503,24 @@ def maximum_matching(g: Graph) -> int:
     if g.n > PARAM_CAP:
         raise BadK(f"matching capped at n={PARAM_CAP}")
     adj = {i: sorted(v for v, _ in nb) for i, nb in g.adjacency().items()}
-    memo = {}
+    return _matching(adj, {}, (1 << g.n) - 1)
 
-    def rec(free_mask: int) -> int:
-        if free_mask == 0:
-            return 0
-        if free_mask in memo:
-            return memo[free_mask]
-        u = (free_mask & -free_mask).bit_length() - 1
-        rest = free_mask & ~(1 << u)
-        best = rec(rest)  # leave u unmatched
-        for v in adj[u]:
-            if rest >> v & 1:
-                best = max(best, 1 + rec(rest & ~(1 << v)))
-        memo[free_mask] = best
-        return best
 
-    return rec((1 << g.n) - 1)
+def _matching(adj, memo, free_mask: int) -> int:
+    """Maximum matching among the vertices of free_mask, memoized in memo;
+    a module function for the reason given at _grow_independent."""
+    if free_mask == 0:
+        return 0
+    if free_mask in memo:
+        return memo[free_mask]
+    u = (free_mask & -free_mask).bit_length() - 1
+    rest = free_mask & ~(1 << u)
+    best = _matching(adj, memo, rest)  # leave u unmatched
+    for v in adj[u]:
+        if rest >> v & 1:
+            best = max(best, 1 + _matching(adj, memo, rest & ~(1 << v)))
+    memo[free_mask] = best
+    return best
 
 
 def is_bipartite(g: Graph):

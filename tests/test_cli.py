@@ -15,6 +15,7 @@ from cutspec import dinkelbach as dk
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
+from cutspec import spectrum
 from cutspec.graph import GENERATORS
 
 CORPUS = Path(__file__).parent.parent / "corpus"
@@ -344,6 +345,46 @@ def test_repeated_main_leaves_no_cyclic_garbage(capsys):
     assert capsys.readouterr().out.count("n 3") == 2
 
 
+def test_lazy_mask_tables_leave_no_cyclic_garbage(capsys):
+    """The lazy cut, deg and vol tables of min-max k-cut and the flip step
+    are freed when their command returns: with automatic collection off,
+    the cyclic collector then finds no _LazyTable."""
+    cycle5 = str(CORPUS / "cycle5.txt")
+    commands = (
+        ["oracle", "minmax_k_cut", "--k", "2", "--graph", cycle5],
+        ["cut", "dual", "--inner", "flip", "--graph", cycle5],
+    )
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what the collector finds in gc.garbage
+    try:
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, gr._LazyTable)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert leaked == []
+
+
+def test_graph_params_leave_no_cyclic_garbage():
+    """The independence number and the matching search recurse through
+    module functions, not through closures that name themselves, so a
+    multiplicity check leaves no cyclic garbage."""
+    g = gr.parse_graph((CORPUS / "cycle5.txt").read_text())
+    spectrum.multiplicity_bounds_check(g)
+    gc.collect()
+    gc.disable()
+    try:
+        spectrum.multiplicity_bounds_check(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_domain_error_exit_1(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0 1\n")
@@ -582,7 +623,7 @@ def test_no_exception_escapes_any_command(tmp_path, capsys):
 def _clear_per_n_tables():
     """Empty the tables that graph keeps per n, so the next command builds
     them anew."""
-    for per_n in (gr._mask_members, gr._member_order, gr._ternary_pairs):
+    for per_n in (gr._mask_members, gr._member_order, gr._ternary_pairs, gr._ternary_multipliers):
         per_n.cache_clear()
 
 
@@ -677,8 +718,9 @@ def test_one_suite_row_builds_each_kernel_part_once(name):
     """A row that runs every stage builds its 2^n tables once, computes each
     subset oracle (cheeger, maxcut, mincut, anti-Cheeger) and the dual
     Cheeger pair oracle once, though inequality_suite asks again for
-    cheeger, maxcut and dual_cheeger, and calls ratio_objective once per
-    Dinkelbach solve, for its start."""
+    cheeger, maxcut and dual_cheeger, and never calls ratio_objective: each
+    Dinkelbach solve takes its default start's ratio from the integer
+    form."""
     counts = Counter()
 
     def counted(key, func):
@@ -695,4 +737,4 @@ def test_one_suite_row_builds_each_kernel_part_once(name):
     ):
         row = json.loads(cli._suite_one(str(CORPUS / name)))
     assert row["inequalities_hold"] and row["dinkelbach_cheeger_ok"] and row["n"] == 8
-    assert counts == {"tables": 1, "subset": 4, "pair": 1, "ratio": 2}
+    assert counts == Counter(tables=1, subset=4, pair=1, ratio=0)

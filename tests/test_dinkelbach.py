@@ -8,7 +8,7 @@ from cutspec import dinkelbach as dk
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
-from cutspec.errors import DegenerateDenominator, NotInOmega, TooLarge, UnknownProblem
+from cutspec.errors import NotInOmega, TooLarge, UnknownProblem
 
 
 def monotone(trace, opt):
@@ -140,24 +140,19 @@ def test_certificate_reevaluates():
 
 
 def test_ratio_objective_only_for_the_start_value(monkeypatch):
-    """Every r_k after the start is F/G at the chosen pair, equal to
-    ratio_objective at the iterate; ratio_objective itself runs for the
-    start only, twice where the default start e_0 lies outside the ratio's
-    domain and e_1 is tried next."""
+    """r_0 of the default start is F/G at the ternary pair of the first
+    projected unit vector in the ratio's domain, and every later r_k is F/G
+    at the chosen pair; each equals ratio_objective at its iterate.
+    ratio_objective itself runs only for a given x0, once."""
     real = fn.ratio_objective
     calls = []
     monkeypatch.setattr(dk, "ratio_objective", lambda *args: calls.append(args) or real(*args))
     isolated = gr.Graph.build(4, [(1, 2), (2, 3)])  # e_0 is a 0/0 start for four ratios
     for g in (gr.star_triangle(2), isolated):
         for pid, problem in sorted(fn.PROBLEMS.items()):
-            try:
-                real(pid, g, dk.project(problem, tuple(F(i == 0) for i in range(g.n))))
-                starts = 1
-            except DegenerateDenominator:
-                starts = 2
-            for inner in ("exact_enum", "local_flip"):
+            for inner, x0 in product(("exact_enum", "local_flip"), (None, tuple(range(g.n)))):
                 del calls[:]
-                trace = dk.solve(pid, g, inner=inner)
-                assert len(calls) == starts, (pid, inner)
+                trace = dk.solve(pid, g, x0=x0, inner=inner)
+                assert len(calls) == (x0 is not None), (pid, inner, x0)
                 for it in trace.iterations:
-                    assert it["r"] == real(pid, g, it["x"]), (pid, inner, it["k"])
+                    assert it["r"] == real(pid, g, it["x"]), (pid, inner, x0, it["k"])

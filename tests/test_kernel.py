@@ -42,6 +42,7 @@ from cutspec.errors import (
 from cutspec.functionals import RVector
 from cutspec.graph import Graph, vol
 from cutspec.simplex import _rows_in_reach, find_feasible
+import dinkelbach_reference as ref
 from fraction_systems import System, int_system, rationals
 
 ZERO = F(0)
@@ -971,6 +972,56 @@ def test_local_flip_iterations_match_reference(g, pid, seed, restarts):
     assert got == want
 
 
+def _solve_outcome(solve, pid, g, x0, inner, seed, restarts):
+    """The whole trace of a solve, or the type and text of its error."""
+    try:
+        tr = solve(pid, g, x0=x0, inner=inner, seed=seed, restarts=restarts)
+    except Exception as exc:  # the reference raises what solve must raise
+        return ("err", type(exc), str(exc))
+    return ("ok", tr.iterations, tr.converged, tr.final)
+
+
+ZERO_MU = gr.Graph.build(3, [(0, 1), (1, 2)], mu=[0, 0, 0])
+STARTS = st.one_of(
+    st.none(),
+    st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=6, max_size=6
+    ),
+)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(
+    graphs(),
+    st.sampled_from(sorted(fn.PROBLEMS)),
+    st.sampled_from(("exact_enum", "local_flip")),
+    STARTS,
+    st.integers(0, 3),
+    st.sampled_from((1, 4)),
+)
+@example(EDGELESS, "dual", "exact_enum", None, 0, 4)
+@example(EDGELESS, "cheeger_tv", "local_flip", None, 0, 4)
+@example(ZERO_MU, "cheeger_tv", "exact_enum", None, 0, 4)
+@example(ZERO_MU, "anti", "local_flip", None, 1, 1)
+@example(ZERO_MU, "maxcut_ratio", "exact_enum", [1, 0, -1, 0, 0, 0], 0, 4)
+@example(ZERO_MU_PATH, "dual", "exact_enum", None, 0, 4)
+@example(ZERO_MU_EDGE, "mdual", "local_flip", None, 2, 4)
+@example(WEIGHTED, "anti", "exact_enum", [F(1, 2), 0, -1, 2, 0, 0], 0, 4)
+@example(DISCONNECTED, "cheeger_new", "exact_enum", None, 0, 4)
+@example(DISCONNECTED, "cheeger_tv", "exact_enum", [1, 1, 1, 1, 1, 0], 0, 4)
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]), "dual", "local_flip", None, 3, 4)
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]), "cheeger_tv", "exact_enum", [0, 0, 0, 0, 0, 0], 0, 4)
+def test_dinkelbach_traces_equal_the_per_pair_loop(g, pid, inner, x0, seed, restarts):
+    """solve over distinct points from columnar forms, with r_0 of the
+    default start from the integer form, gives every iteration's k, r, x
+    and inner value, the convergence flag, the certificate, and the type and
+    text of any error of the per-pair loop it replaced, which rescans every
+    candidate and starts from ratio_objective."""
+    x0 = None if x0 is None else tuple(x0[: g.n])
+    args = (pid, g, x0, inner, seed, restarts)
+    assert _solve_outcome(dk.solve, *args) == _solve_outcome(ref.solve, *args)
+
+
 @SETTINGS
 @given(graphs(max_n=5))
 @example(EDGELESS)
@@ -984,7 +1035,7 @@ def test_ternary_forms_match_ratio_objective(g):
     members = gr.mask_members(g.n)
     tables = gr.mask_tables(g)
     for pid, p in fn.PROBLEMS.items():
-        for (a, b), (f, h) in zip(pairs, gr.ternary_ratios(tables, pairs, p.ternary)):
+        for (a, b), f, h in zip(pairs, *gr.ternary_ratios(tables, pairs, p.ternary)):
             x = fn.indicator(g, members[a], members[b])
             got = outcome(lambda: fn.ratio_objective(pid, g, x), None)
             if h:
