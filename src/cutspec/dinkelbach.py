@@ -10,8 +10,10 @@ and stops at exact rational equality r_{k+1} = r_k.
 
 The exact inner solver's candidates are the scaled ternary vectors
 (1_A - 1_B)/|A ∪ B| inside Omega, where the inner objective attains its
-optimum, in the certificate order of graph.ternary_pairs.  A solve scores
-them once, in integers, by the problem record's ternary form
+optimum, in the certificate order of graph.ternary_pairs.  Every ratio is
+even, so (B, A) has the (F, G) of (A, B) and never comes first: a solve
+reads one pair per mirror class, the first (graph._ternary_representatives).
+It scores them once, in integers, by the problem record's ternary form
 (F, G) = (f1 - f2, g1 - g2) from the mask kernel of `graph`, both times
 L/|A ∪ B| with L = lcm(1..n), so that every candidate's F and G share the
 positive factor 1/(D·L).  The candidates then collapse to their distinct
@@ -45,8 +47,8 @@ from .functionals import PROBLEMS, Problem, RVector, ratio_objective
 from .graph import (
     Graph,
     _ternary_multipliers,
-    _ternary_pairs,
     _ternary_ratios,
+    _ternary_representatives,
     lazy_mask_tables,
     mask_tables,
     ternary_ratios,
@@ -172,9 +174,11 @@ def _default_start(problem_id, problem, g, tables, x):
 def _distinct_points(n, problem, tables):
     """The exact step's candidates as distinct points (F, G) with G ≠ 0,
     the terms of the ternary form times L/|A ∪ B| (L = lcm(1..n)), in the
-    order of each point's first pair in candidate order.  Returns (pairs,
-    Fs, Gs), pairs[i] being the first pair of point i."""
-    pairs = _ternary_pairs(n, problem.domain_kind)
+    order of each point's first pair in candidate order.  Only the first
+    pair of each mirror class {(A, B), (B, A)} is scored: the two have one
+    point, and the first comes first.  Returns (pairs, Fs, Gs), pairs[i]
+    being the first pair of point i."""
+    pairs = _ternary_representatives(n, problem.domain_kind)
     mults = _ternary_multipliers(n, problem.domain_kind)
     fs, gs = ternary_ratios(tables, pairs, problem.ternary)
     first = {}

@@ -37,15 +37,20 @@ over 1).  As rationals each row is the row these steps describe, so the
 simplex takes the same pivots and returns the same point.  Variable names
 and Fractions are built only for a returned witness.
 
-The ternary scans first run the simplex's row-range test in integers,
-from the signs of the candidate 1_A - 1_B and the scaled weights,
-measures and eigenvalue, without building a system; only the candidates
-it passes get verify's system and the simplex, which stop at the verdict:
-no Fraction point and no witness.  A candidate (B, A) skips the system
-once its mirror (A, B) was rejected at the same value: the system for -x
-is the one for x with the selections z and v negated (one_lap's at the
-lowest median of -x, which has the feasible set of any median), so both
-get the same verdict.
+The ternary scans enumerate one pair per mirror class {(A, B), (B, A)},
+the one that comes first in certificate order
+(graph._ternary_representatives).  The two have one value, and one
+verdict: the system for -x is the one for x with the selections z and v
+negated (one_lap's at the lowest median of -x, which has the feasible set
+of any median).  So the first verified pair of each value is the one the
+full enumeration finds.  The one exception is one_lap's constant vector:
+its certificate (V, ∅) is not the representative of its class, and the
+scan puts it back at its own place in certificate order.  A scan first
+runs the simplex's row-range test in integers, from the signs of the
+candidate 1_A - 1_B and the scaled weights, measures and eigenvalue,
+without building a system; only the candidates it passes get verify's
+system and the simplex, which stop at the verdict: no Fraction point and
+no witness.
 """
 
 from __future__ import annotations
@@ -65,10 +70,10 @@ from .graph import (
     Graph,
     _member_order,
     _scaled_weights,
+    _ternary_representatives,
     mask_members,
     mask_tables,
     scaled_graph,
-    ternary_pairs,
     ternary_ratios,
 )
 from .oracles import CutCertificate
@@ -385,38 +390,39 @@ def spectrum_scan(id: str, g: Graph, cap: int = 12):
     if id in ("signless", "one_lap", "hat_signless"):
         if g.n > 9 or g.n > cap:
             raise TooLarge(f"ternary scan capped at n={min(cap, 9)}")
-        full = (1 << g.n) - 1
         # constant vectors sit outside the ratio objective's domain
         constant = id == "one_lap" and _verdict(id, g, 0, 1, [1] * g.n)
         members = mask_members(g.n)
-        pairs = ternary_pairs(g.n)
+        # one pair per mirror class: (B, A) has the value and the verdict of
+        # (A, B), which comes first in certificate order
+        pairs = _ternary_representatives(g.n, "nonzero")
         nums, dens = ternary_ratios(mask_tables(g), pairs, EIGENPROBLEMS[id].ternary)
         scaled = scaled_graph(g)
         # reduced value -> its first verified pair, which in certificate
         # order is its certificate; later pairs of that value skip verify,
         # and so does a pair whose rows the simplex would reject unbuilt.
-        # So does (B, A) once verify rejected (A, B) at its value: the
-        # system for -x is the one for x with z and v negated (for one_lap
-        # at another median, which has the same feasible set), so verify
-        # gives -x the verdict of x.  Only verify's verdict is read, so no
-        # point or witness is built.
+        # Only verify's verdict is read, so no point or witness is built.
         accepted = {}
-        rejected = set()
         for (a, b), num, den in zip(pairs, nums, dens):
-            if den == 0:  # outside the ratio's domain, as (V, ∅) is for one_lap
-                if constant and (a, b) == (full, 0):
-                    accepted.setdefault((0, 1), (a, b))
+            if den == 0:  # outside the ratio's domain
                 continue
             c = gcd(num, den)
             key = (num // c, den // c)
-            if key in accepted or (b, a, key) in rejected:
+            if key in accepted:
                 continue
             if _rows_in_range(id, scaled, a, b, *key):
                 xs = [(a >> i & 1) - (b >> i & 1) for i in range(g.n)]
                 if _verdict(id, g, *key, xs):
                     accepted[key] = (a, b)
-                else:
-                    rejected.add((a, b, key))
+        if constant:
+            # the certificate of the constant vector is (V, ∅), not its
+            # representative (∅, V): it takes the value 0 unless a pair
+            # before it in certificate order took it first
+            full = (1 << g.n) - 1
+            first = accepted.get((0, 1))
+            rank = _member_order(g.n)[1]
+            if first is None or rank[first[0]] > rank[full]:
+                accepted[(0, 1)] = (full, 0)
         values = sorted((Fraction(*key), a, b) for key, (a, b) in accepted.items())
         return [
             (

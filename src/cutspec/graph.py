@@ -188,20 +188,28 @@ def is_connected(g: Graph) -> bool:
 # cut, degree and volume of vertex bitmasks.  Graph.kernel builds them once
 # per graph and holds them as long as the graph lives: D, the scaled weights,
 # measures, neighbour lists and degrees from the start, the 2^n mask tables
-# on first read, and the certificates of the single-constant oracles as they
-# are computed.  The kernel holds no reference to its graph, so a graph and
-# its kernel are freed together, without a cycle.  Its lists are shared by
-# every reader, and none may change them.
+# on first read, and what the oracles compute once per graph as they first
+# need it: the single-constant oracles' certificates, the pair-split table
+# and the k-way levels.  The kernel holds no reference to its graph, so a
+# graph and its kernel are freed together, without a cycle.  Its lists are
+# shared by every reader, and none may change them, but for the k-way
+# oracle, which appends a level to kway_levels.
 #
 # What depends on n alone is built once per n and kept for the process: the
 # sorted members of every mask, the masks in member order with their ranks,
-# the ternary pairs of each domain kind (the pairs of "nonconstant_2cut" are
-# the very pair objects of "nonzero") and the Dinkelbach multipliers
-# L/|A ∪ B| of those pairs.  The tables for n have 2^n or 3^n entries, so
-# those kept for every n up to the largest hold under 2x (members, order)
-# and 1.5x (pairs) the tables of the largest n, which the first call at
-# that n builds anyway.  The public functions return fresh lists, which a
-# caller may change.
+# the ternary representatives of each domain kind and the Dinkelbach
+# multipliers L/|A ∪ B| that follow them.  The representatives are the
+# (3^n - 1)/2 pairs (A, B) that come before their mirror (B, A) in
+# certificate order; every ternary form is even, so they are all that the
+# ternary scans and exact Dinkelbach read.  All 3^n - 1 pairs are built
+# only for the public ternary_pairs.  The "nonconstant_2cut" tuples share
+# their pair objects with the "nonzero" ones.  A kept pair costs about
+# 90 bytes: the representatives take 0.7 MB at n = 9 and 24 MB at n = 12,
+# the multipliers 8 bytes a pair.  The tables for n have 2^n or 3^n
+# entries, so those kept for every n up to the largest hold under 2x
+# (members, order) and 1.5x (pairs) the tables of the largest n, which the
+# first call at that n builds anyway.  The public functions return fresh
+# lists, which a caller may change.
 
 
 class Kernel:
@@ -211,7 +219,11 @@ class Kernel:
     wts[e] = D·w_e in the order of g.edges; mu[i] = D·mu_i; nbrs[i] lists
     (1 << j, D·w_ij) for every neighbour j of i; deg[i] is D times the
     weighted degree of i.  tables is mask_tables(g), built on first read,
-    and certificates maps an oracle's name to its certificate on g."""
+    and certificates maps an oracle's name to its certificate on g.  The
+    pair oracles keep their tables here too, each built on first use:
+    split_max is oracles._split_max of the cut table, and kway_levels[m]
+    is the level best[m] of k_way_dual_cheeger's recursion, from
+    kway_levels[0] = None up to the largest k asked for so far."""
 
     def __init__(self, g: Graph):
         # lcm is called pairwise, as in simplex._lcm
@@ -232,6 +244,8 @@ class Kernel:
             self.deg[u] += wi
             self.deg[v] += wi
         self.certificates = {}
+        self.split_max = None
+        self.kway_levels = [None]
 
     @functools.cached_property
     def tables(self):
@@ -366,30 +380,55 @@ def _ternary_pairs(n: int, domain_kind: str) -> tuple:
         # the "nonzero" pairs with A and B nonempty, in the same order: the
         # two tuples share their pair objects
         return tuple(ab for ab in _ternary_pairs(n, "nonzero") if ab[0] and ab[1])
+    return _in_certificate_order(n, _disjoint_pairs(n))
+
+
+@functools.cache
+def _ternary_representatives(n: int, domain_kind: str) -> tuple:
+    """The pairs (A, B) of _ternary_pairs(n, domain_kind) that come before
+    their mirror (B, A), in the same order: those whose sorted A is below
+    their sorted B.  Every ternary form is even, so a pair and its mirror
+    have one ratio and one eigenpair verdict, and a scan or a solve that
+    keeps the first pair of each value reads only these."""
+    if domain_kind == "nonconstant_2cut":
+        reps = _ternary_representatives(n, "nonzero")
+        return tuple(ab for ab in reps if ab[0] and ab[1])
+    _, rank = _member_order(n)
+    return _in_certificate_order(
+        n, (ab for ab in _disjoint_pairs(n) if rank[ab[0]] < rank[ab[1]])
+    )
+
+
+def _disjoint_pairs(n: int):
+    """Every disjoint bitmask pair (A, B) over n vertices but (∅, ∅)."""
     full = (1 << n) - 1
-    out = []
     for mask_a in range(1 << n):
         rest = ~mask_a & full
         mask_b = rest
         while True:
             if mask_a or mask_b:
-                out.append((mask_a, mask_b))
+                yield mask_a, mask_b
             if mask_b == 0:
                 break
             mask_b = (mask_b - 1) & rest
+
+
+def _in_certificate_order(n: int, pairs) -> tuple:
     _, rank = _member_order(n)
-    out.sort(key=lambda ab: rank[ab[0]] << n | rank[ab[1]])
-    return tuple(out)
+    return tuple(sorted(pairs, key=lambda ab: rank[ab[0]] << n | rank[ab[1]]))
 
 
 @functools.cache
 def _ternary_multipliers(n: int, domain_kind: str) -> tuple:
-    """L // |A ∪ B| for every pair (A, B) of _ternary_pairs(n, domain_kind),
-    with L = lcm(1..n): the factor that takes the terms of 1_A - 1_B to
-    those of the candidate (1_A - 1_B)/|A ∪ B| of norm 1, times L."""
+    """L // |A ∪ B| for every pair (A, B) of
+    _ternary_representatives(n, domain_kind), with L = lcm(1..n): the factor
+    that takes the terms of 1_A - 1_B to those of the candidate
+    (1_A - 1_B)/|A ∪ B| of norm 1, times L."""
     big_l = lcm(*range(1, n + 1))
     per_size = [0] + [big_l // s for s in range(1, n + 1)]
-    return tuple(per_size[(a | b).bit_count()] for a, b in _ternary_pairs(n, domain_kind))
+    return tuple(
+        per_size[(a | b).bit_count()] for a, b in _ternary_representatives(n, domain_kind)
+    )
 
 
 class TernaryColumns:

@@ -165,6 +165,15 @@ def _split_max(n: int, cut: list) -> list:
     return out
 
 
+def _best_splits(g: Graph) -> list:
+    """_split_max of g's cut table, built once per graph and kept on its
+    kernel."""
+    k = g.kernel
+    if k.split_max is None:
+        k.split_max = _split_max(g.n, k.tables[1])
+    return k.split_max
+
+
 def _pair_oracle(g: Graph, modified: bool) -> CutCertificate:
     """max over disjoint (A, B), A ∪ B = U nonempty, of
     (2·w(A, B) + bnd) / (vol(U) + bnd), where bnd = cut(U) when modified
@@ -175,7 +184,7 @@ def _pair_oracle(g: Graph, modified: bool) -> CutCertificate:
     vertices of measure 0) is +inf and raises ZeroMeasure, as does a graph
     where every U is 0/0."""
     _, cut, _, volm = mask_tables(g)
-    best_split = _split_max(g.n, cut)
+    best_split = _best_splits(g)
 
     def candidates():
         for u in range(1, 1 << g.n):
@@ -218,9 +227,11 @@ def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:
 
     A pair's ratio with union U is at most r(U), that of U's best split.
     best[m][F] is the largest worst r over m disjoint nonempty unions inside
-    F, so the optimum is best[k][V].  The certificate is then built pair by
-    pair: each takes the smallest serialized (A_j, B_j) whose ratio reaches
-    the optimum and whose remaining vertices still hold the other pairs.
+    F, so the optimum is best[k][V].  The levels best[m] depend on the
+    graph alone and are kept on its kernel, so a call builds only those no
+    earlier call built.  The certificate is then built pair by pair: each
+    takes the smallest serialized (A_j, B_j) whose ratio reaches the
+    optimum and whose remaining vertices still hold the other pairs.
     Unlike the pair oracles, it refuses any vertex of measure zero, whose
     singleton union is a 0/0 pair.
     """
@@ -233,30 +244,12 @@ def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:
     _, cut, _, volm = mask_tables(g)
     if not all(volm[1 << i] for i in range(n)):
         raise ZeroMeasure("a vertex of measure zero makes a set-pair ratio 0/0")
-    size = 1 << n
-    full = size - 1
-    split = _split_max(n, cut)
-    r_num = [split[u] - cut[u] for u in range(size)]  # r(U) = r_num / vol
-
-    # best[m][F] = (num, den) or None when F holds fewer than m pairs
-    best = [None]
-    for m in range(1, k + 1):
-        below, cur = best[-1], [None] * size
-        for f in range(1, size):
-            low = f & -f
-            top = cur[f ^ low]  # F's lowest vertex left unused
-            for u, rest in _splits(f):  # or in the union U
-                val = (r_num[u], volm[u])
-                if below is not None:
-                    other = below[rest]
-                    if other is None:
-                        continue
-                    if other[0] * val[1] < val[0] * other[1]:
-                        val = other
-                if top is None or val[0] * top[1] > top[0] * val[1]:
-                    top = val
-            cur[f] = top
-        best.append(cur)
+    full = (1 << n) - 1
+    split = _best_splits(g)
+    r_num = [s - c for s, c in zip(split, cut)]  # r(U) = r_num / vol
+    best = g.kernel.kway_levels
+    while len(best) <= k:
+        best.append(_kway_level(r_num, volm, best[-1]))
     v_num, v_den = best[k][full]
 
     members = mask_members(n)
@@ -286,6 +279,29 @@ def k_way_dual_cheeger(g: Graph, k: int) -> CutCertificate:
         sets=tuple(frozenset(t) for t in sets),
         value=Fraction(v_num, v_den),
     )
+
+
+def _kway_level(r_num: list, volm: list, below) -> list:
+    """best[m] of k_way_dual_cheeger from below = best[m - 1] (None for
+    m = 1): for every mask F, the largest worst r over m disjoint nonempty
+    unions inside F as (num, den), or None when F holds fewer than m."""
+    size = len(r_num)
+    cur = [None] * size
+    for f in range(1, size):
+        low = f & -f
+        top = cur[f ^ low]  # F's lowest vertex left unused
+        for u, rest in _splits(f):  # or in the union U
+            val = (r_num[u], volm[u])
+            if below is not None:
+                other = below[rest]
+                if other is None:
+                    continue
+                if other[0] * val[1] < val[0] * other[1]:
+                    val = other
+            if top is None or val[0] * top[1] > top[0] * val[1]:
+                top = val
+        cur[f] = top
+    return cur
 
 
 def _blockings(u: int, k: int):

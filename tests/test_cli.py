@@ -623,7 +623,13 @@ def test_no_exception_escapes_any_command(tmp_path, capsys):
 def _clear_per_n_tables():
     """Empty the tables that graph keeps per n, so the next command builds
     them anew."""
-    for per_n in (gr._mask_members, gr._member_order, gr._ternary_pairs, gr._ternary_multipliers):
+    for per_n in (
+        gr._mask_members,
+        gr._member_order,
+        gr._ternary_pairs,
+        gr._ternary_representatives,
+        gr._ternary_multipliers,
+    ):
         per_n.cache_clear()
 
 
@@ -641,6 +647,8 @@ KERNEL_COMMANDS = (
     ["oracle", "modified_dual_cheeger"],
     ["oracle", "ratio:cheeger_tv"],
     ["oracle", "k_way_dual_cheeger", "--k", "2"],
+    ["oracle", "k_way_dual_cheeger", "--k", "3"],
+    ["oracle", "k_way_dual_cheeger", "--k", "1"],
     ["oracle", "minmax_k_cut", "--k", "2"],
     ["scan", "signless"],
     ["scan", "one_lap"],
@@ -713,14 +721,20 @@ def test_suite_rows_equal_rows_of_freshly_parsed_graphs(capsys):
         assert cli._suite_one(str(path)) == row, path.name
 
 
-@pytest.mark.parametrize("name", ["random8a.txt", "tree8.txt"])
+# n and the k-way levels each row builds: none off a forest, k = 1 and 2 on
+# tree8, where (2k + 1)^n refuses k = 3, and k = 1, 2, 3 on path6
+SUITE_ROWS = {"random8a.txt": (8, 0), "tree8.txt": (8, 2), "path6.txt": (6, 3)}
+
+
+@pytest.mark.parametrize("name", list(SUITE_ROWS))
 def test_one_suite_row_builds_each_kernel_part_once(name):
     """A row that runs every stage builds its 2^n tables once, computes each
     subset oracle (cheeger, maxcut, mincut, anti-Cheeger) and the dual
     Cheeger pair oracle once, though inequality_suite asks again for
     cheeger, maxcut and dual_cheeger, and never calls ratio_objective: each
     Dinkelbach solve takes its default start's ratio from the integer
-    form."""
+    form.  The pair-split table is built once, and a forest's k-way oracle
+    (k = 1, 2, 3) reuses it and builds each of its levels once."""
     counts = Counter()
 
     def counted(key, func):
@@ -734,7 +748,10 @@ def test_one_suite_row_builds_each_kernel_part_once(name):
         mock.patch.object(orc, "_subset_oracle", counted("subset", orc._subset_oracle)),
         mock.patch.object(orc, "_pair_oracle", counted("pair", orc._pair_oracle)),
         mock.patch.object(dk, "ratio_objective", counted("ratio", dk.ratio_objective)),
+        mock.patch.object(orc, "_split_max", counted("split", orc._split_max)),
+        mock.patch.object(orc, "_kway_level", counted("level", orc._kway_level)),
     ):
         row = json.loads(cli._suite_one(str(CORPUS / name)))
-    assert row["inequalities_hold"] and row["dinkelbach_cheeger_ok"] and row["n"] == 8
-    assert counts == Counter(tables=1, subset=4, pair=1, ratio=0)
+    n, levels = SUITE_ROWS[name]
+    assert row["inequalities_hold"] and row["dinkelbach_cheeger_ok"] and row["n"] == n
+    assert counts == Counter(tables=1, subset=4, pair=1, split=1, level=levels, ratio=0)

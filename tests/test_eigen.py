@@ -130,6 +130,27 @@ def test_ternary_scans_read_verdicts_only(small_corpus, monkeypatch):
         eg.verify("signless", gr.path(2), F(0), vec(gr.path(2), [1, -1]))
 
 
+def test_ternary_scans_test_one_pair_per_mirror_class(small_corpus, monkeypatch):
+    """No ternary scan tests the rows of (B, A) at a value where it tested
+    those of (A, B): the two have one verdict."""
+    graphs = [g for _, g in sorted(small_corpus.items()) if g.n <= 6]
+    calls = []
+    real = eg._rows_in_range
+
+    def recorded(id, scaled, a, b, p, q):
+        calls.append((a, b, p, q))
+        return real(id, scaled, a, b, p, q)
+
+    monkeypatch.setattr(eg, "_rows_in_range", recorded)
+    for g in graphs:
+        for sid in ("signless", "one_lap", "hat_signless"):
+            calls.clear()
+            eg.spectrum_scan(sid, g)
+            tested = set(calls)
+            assert calls and len(tested) == len(calls), sid
+            assert not any((b, a, p, q) in tested for a, b, p, q in tested), sid
+
+
 def test_maxcut_scan_gap():
     # consecutive scan values differ by at least 2 / vol(V)
     for g in (gr.path(4), gr.cycle(5), gr.star_triangle(2)):

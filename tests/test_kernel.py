@@ -13,6 +13,7 @@ replaced.
 """
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -861,10 +862,10 @@ def test_median_endpoints_decide_as_with_midpoint(g, vals, off):
 @example(WEIGHTED, [F(1), F(1, 2), F(-1), F(0), 0], F(2, 3))
 @example(DISCONNECTED, [F(1), F(1), F(0), F(-1), F(0)], F(1, 2))
 def test_verify_gives_minus_x_the_verdict_of_x(g, vals, off):
-    """The ternary scans skip (B, A) once verify rejected (A, B) at the
-    same value: for every id and raw one_lap, verify(id, g, lam, -x) has the
-    verdict of verify(id, g, lam, x), or raises the same error type, at the
-    ratio's value, at 0 and at another value."""
+    """The ternary scans test one pair per mirror class {(A, B), (B, A)}:
+    for every id and raw one_lap, verify(id, g, lam, -x) has the verdict of
+    verify(id, g, lam, x), or raises the same error type, at the ratio's
+    value, at 0 and at another value."""
     x = tuple(vals[: g.n])
     minus_x = tuple(-t for t in x)
     for sid, raw in [*((sid, False) for sid in sorted(fn.EIGENPROBLEMS)), ("one_lap", True)]:
@@ -912,6 +913,7 @@ def test_graph_and_kernel_are_freed_together_without_a_cycle():
     g = gr.Graph.build(5, [(0, 1), (1, 2, F(1, 2)), (2, 3), (3, 4), (0, 4)])
     orc.cheeger(g)
     orc.dual_cheeger(g)
+    orc.k_way_dual_cheeger(g, 2)
     dk.solve("cheeger_tv", g)
     eg.spectrum_scan("signless", g)
     graph_ref, kernel_ref = weakref.ref(g), weakref.ref(g.kernel)
@@ -1042,6 +1044,41 @@ def test_ternary_forms_match_ratio_objective(g):
                 assert got == ("ok", F(f, h)), (pid, a, b)
             else:
                 assert got in (("err", DegenerateDenominator), ("err", ZeroMeasure)), (pid, a, b)
+
+
+@SETTINGS
+@given(graphs(max_n=5))
+@example(EDGELESS)
+@example(ZERO_MU_PATH)
+@example(ZERO_MU_EDGE)
+@example(ZERO_MU)
+@example(WEIGHTED)
+@example(DISCONNECTED)
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]))
+def test_ternary_forms_are_even(g):
+    """Every problem's integer (F, G) at (B, A) is its (F, G) at (A, B),
+    over the pairs of both domain kinds, and the representatives (with
+    their multipliers) are the pairs that come before their mirror in
+    certificate order: what lets the ternary scans and exact Dinkelbach
+    read one pair per mirror class."""
+    tables = gr.mask_tables(g)
+    big_l = math.lcm(*range(1, g.n + 1))
+    for kind in ("nonzero", "nonconstant_2cut"):
+        pairs = gr.ternary_pairs(g.n, kind)
+        seen, first = set(), []
+        for a, b in pairs:
+            if (b, a) not in seen:
+                first.append((a, b))
+            seen.add((a, b))
+        reps = gr._ternary_representatives(g.n, kind)
+        assert reps == tuple(first), kind
+        assert gr._ternary_multipliers(g.n, kind) == tuple(
+            big_l // (a | b).bit_count() for a, b in reps
+        ), kind
+        mirrors = [(b, a) for a, b in pairs]
+        for pid, p in fn.PROBLEMS.items():
+            got = gr.ternary_ratios(tables, mirrors, p.ternary)
+            assert got == gr.ternary_ratios(tables, pairs, p.ternary), (kind, pid)
 
 
 def test_lazy_mask_tables_match_mask_tables():
