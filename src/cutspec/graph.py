@@ -25,9 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadK,
-    IsolatedVertex,
     NegativeWeight,
-    OverlappingSets,
     ParseError,
     SelfLoop,
     UsageError,
@@ -130,29 +128,6 @@ def vol(g: Graph, s: Iterable[int]) -> Fraction:
     return sum((g.mu[i] for i in s), Fraction(0))
 
 
-def cut_weight(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
-    """Total weight of edges with one endpoint in a and the other in b."""
-    a, b = frozenset(a), frozenset(b)
-    if a & b:
-        raise OverlappingSets(f"sets overlap on {sorted(a & b)}")
-    total = Fraction(0)
-    for u, v, w in g.edges:
-        if (u in a and v in b) or (u in b and v in a):
-            total += w
-    return total
-
-
-def boundary(g: Graph, s: Iterable[int]) -> Fraction:
-    """|∂S| = cut weight between s and its complement."""
-    s = frozenset(s)
-    return cut_weight(g, s, g.vertices() - s)
-
-
-def intra_weight(g: Graph, s: Iterable[int]) -> Fraction:
-    s = frozenset(s)
-    return sum((w for u, v, w in g.edges if u in s and v in s), Fraction(0))
-
-
 def connected_components(g: Graph, s: Optional[Iterable[int]] = None) -> list:
     """Components of the subgraph induced by s, ordered by smallest member."""
     s = frozenset(range(g.n)) if s is None else frozenset(s)
@@ -190,7 +165,10 @@ def is_connected(g: Graph) -> bool:
 # measures, neighbour lists and degrees from the start, the 2^n mask tables
 # on first read, and what the oracles compute once per graph as they first
 # need it: the single-constant oracles' certificates, the pair-split table
-# and the k-way levels.  The kernel holds no reference to its graph, so a
+# and the k-way levels.  The mask tables grow a vertex block at a time: for
+# t = 0, ..., n - 1, the entries of the masks in [2^t, 2^(t+1)) come from
+# those of the masks below 2^t, one list comprehension per table
+# (_block_tables).  The kernel holds no reference to its graph, so a
 # graph and its kernel are freed together, without a cycle.  Its lists are
 # shared by every reader, and none may change them, but for the k-way
 # oracle, which appends a level to kway_levels.
@@ -218,12 +196,12 @@ class Kernel:
     d is the least common multiple of the weight and measure denominators;
     wts[e] = D·w_e in the order of g.edges; mu[i] = D·mu_i; nbrs[i] lists
     (1 << j, D·w_ij) for every neighbour j of i; deg[i] is D times the
-    weighted degree of i.  tables is mask_tables(g), built on first read,
-    and certificates maps an oracle's name to its certificate on g.  The
-    pair oracles keep their tables here too, each built on first use:
-    split_max is oracles._split_max of the cut table, and kway_levels[m]
-    is the level best[m] of k_way_dual_cheeger's recursion, from
-    kway_levels[0] = None up to the largest k asked for so far."""
+    weighted degree of i.  tables is mask_tables(g), built on first read by
+    _block_tables, and certificates maps an oracle's name to its certificate
+    on g.  The pair oracles keep their tables here too, each built on first
+    use: split_max is oracles._split_max of the cut table, and
+    kway_levels[m] is the level best[m] of k_way_dual_cheeger's recursion,
+    from kway_levels[0] = None up to the largest k asked for so far."""
 
     def __init__(self, g: Graph):
         # lcm is called pairwise, as in simplex._lcm
@@ -249,10 +227,7 @@ class Kernel:
 
     @functools.cached_property
     def tables(self):
-        size = 1 << self.n
-        cut, deg, vol = [0] * size, [0] * size, [0] * size
-        _extend(cut, deg, vol, range(1, size), self.nbrs, self.deg, self.mu)
-        return self.d, cut, deg, vol
+        return (self.d, *_block_tables(self.nbrs, self.deg, self.mu))
 
 
 def _scaled_weights(g: Graph):
@@ -277,23 +252,33 @@ def mask_tables(g: Graph):
 
     With D from scaled_graph, for the vertex set S of mask m: cut[m] =
     D·|∂S|, deg[m] = D·(sum of weighted degrees over S) and vol[m] = D·mu(S),
-    all exact ints.  Each entry extends the entry without its lowest vertex.
-    Returns (D, cut, deg, vol), built once per graph.
+    all exact ints.  The lists grow a vertex block at a time: the masks
+    r | 2^t with r < 2^t extend the masks r by their highest vertex t
+    (see _block_tables).  Returns (D, cut, deg, vol), built once per graph.
     """
     return g.kernel.tables
 
 
-def _extend(cut, deg, vol, masks, nbrs, deg1, mu1):
-    """Set the cut, degree and volume of each mask, in order, from the
-    entries of the mask without its lowest vertex, which must be set."""
-    for m in masks:
-        low = m & -m
-        i = low.bit_length() - 1
-        prev = m ^ low
-        inner = sum(wi for bit, wi in nbrs[i] if prev & bit)
-        cut[m] = cut[prev] + deg1[i] - 2 * inner
-        deg[m] = deg[prev] + deg1[i]
-        vol[m] = vol[prev] + mu1[i]
+def _block_tables(nbrs, deg1, mu1):
+    """The cut, degree and volume lists of every mask over the vertices of
+    nbrs, deg1 and mu1 (as scaled_graph gives them), a vertex block at a
+    time: for t = 0, ..., n - 1 the masks r | 2^t, r < 2^t, follow the
+    masks r, and cut(r | 2^t) = cut(r) + deg(t) - 2·w(t, r).  The steps
+    deg(t) - 2·w(t, r) over r < 2^t double in the same way, once per
+    vertex below t."""
+    cut, deg, vol = [0], [0], [0]
+    for t, (deg_t, mu_t) in enumerate(zip(deg1, mu1)):
+        twice_w = [0] * t  # 2·w(t, j) for j < t
+        for bit, wi in nbrs[t]:
+            if bit >> t == 0:
+                twice_w[bit.bit_length() - 1] = 2 * wi
+        step = [deg_t]
+        for wj in twice_w:  # a j not adjacent to t repeats the steps
+            step += [s - wj for s in step] if wj else step
+        cut += [c + s for c, s in zip(cut, step)]
+        deg += [x + deg_t for x in deg]
+        vol += [x + mu_t for x in vol]
+    return cut, deg, vol
 
 
 class _LazyTable(dict):
@@ -323,9 +308,10 @@ class _LazyTable(dict):
 
 def lazy_mask_tables(g: Graph):
     """mask_tables(g) for any n: cut, deg and vol are dicts that compute a
-    mask's entry on first read, by the same lowest-vertex recurrence, and
-    keep it.  Key -1 holds the whole vertex set, as the last entry of the
-    2^n lists does.  Returns (D, cut, deg, vol)."""
+    mask's entry on first read from the entry of the mask without its
+    lowest vertex, which gives the ints of mask_tables, and keep it.  Key -1
+    holds the whole vertex set, as the last entry of the 2^n lists does.
+    Returns (D, cut, deg, vol)."""
     d, nbrs, deg1, mu1 = scaled_graph(g)
     cut = _LazyTable(
         lambda c, i, prev: c + deg1[i] - 2 * sum(wi for bit, wi in nbrs[i] if prev & bit)
@@ -345,10 +331,11 @@ def mask_members(n: int) -> list:
 
 @functools.cache
 def _mask_members(n: int) -> tuple:
-    members = [()] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        members[m] = (low.bit_length() - 1,) + members[m ^ low]
+    # by vertex blocks, as _block_tables: the members of r | 2^t, r < 2^t,
+    # are the members of r followed by t
+    members = [()]
+    for t in range(n):
+        members += [m + (t,) for m in members]
     return tuple(members)
 
 
@@ -606,13 +593,6 @@ def graph_params(g: Graph) -> dict:
         "is_bipartite": bip,
         "is_forest": is_forest(g),
     }
-
-
-def edge_cover_number(g: Graph) -> int:
-    params = graph_params(g)
-    if params["edge_cover"] is None:
-        raise IsolatedVertex("edge cover undefined with isolated vertices")
-    return params["edge_cover"]
 
 
 # -- generators -------------------------------------------------------------

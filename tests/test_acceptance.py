@@ -22,7 +22,7 @@ from cutspec import nodal as nd
 from cutspec import oracles as orc
 from cutspec import spectrum as sp
 from cutspec.errors import DegenerateDenominator
-from theorem_checks import check_max_eigvec_structure, check_null_symmetry
+from theorem_checks import boundary, check_max_eigvec_structure, check_null_symmetry
 
 CORPUS = Path(__file__).parent.parent / "corpus"
 
@@ -98,7 +98,7 @@ def test_criterion_3_eigenpair_constructors(small_corpus):
         for mask in range(1, 1 << g.n):
             a = frozenset(i for i in range(g.n) if mask >> i & 1)
             x = fn.indicator(g, a, verts - a)
-            bnd = gr.boundary(g, a)
+            bnd = boundary(g, a)
             cases = [("maxcut_inf", 2 * bnd / volV)]
             if a != verts:
                 va, vc = gr.vol(g, a), gr.vol(g, verts - a)
@@ -227,7 +227,7 @@ def test_criterion_8_petersen_desk_numbers():
     g = gr.petersen()
     cert = orc.maxcut(g)
     assert cert.value == F(4, 5)
-    assert gr.boundary(g, cert.sets[0]) == 12
+    assert boundary(g, cert.sets[0]) == 12
     # independent second path: the scanned eigenvalue family
     scan_max = eg.spectrum_scan("maxcut_inf", g)[-1][0]
     assert scan_max == F(4, 5)

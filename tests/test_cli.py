@@ -744,7 +744,7 @@ def test_one_suite_row_builds_each_kernel_part_once(name):
         return wrapper
 
     with (
-        mock.patch.object(gr, "_extend", counted("tables", gr._extend)),
+        mock.patch.object(gr, "_block_tables", counted("tables", gr._block_tables)),
         mock.patch.object(orc, "_subset_oracle", counted("subset", orc._subset_oracle)),
         mock.patch.object(orc, "_pair_oracle", counted("pair", orc._pair_oracle)),
         mock.patch.object(dk, "ratio_objective", counted("ratio", dk.ratio_objective)),

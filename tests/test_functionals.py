@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec.errors import DegenerateDenominator, UnknownProblem
-from theorem_checks import lovasz_extension
+from theorem_checks import cut_weight, lovasz_extension
 
 
 def vec(g, vals):
@@ -106,7 +106,7 @@ def test_median_interval_matches_brute_force(points):
 
 def test_lovasz_extension_examples():
     k3 = gr.complete(3)
-    cut = lambda a, b: gr.cut_weight(k3, a, b)
+    cut = lambda a, b: cut_weight(k3, a, b)
     x = fn.indicator(k3, {0, 1})
     assert lovasz_extension(k3, cut, x) == cut({0, 1}, frozenset())
     y = fn.indicator(k3, {0}, {2})
@@ -117,7 +117,7 @@ def test_lovasz_extension_examples():
 
 def test_lovasz_indicator_identity_exhaustive():
     for g in (gr.path(4), gr.cycle(5), gr.complete(4)):
-        cut = lambda a, b: gr.cut_weight(g, a, b)
+        cut = lambda a, b: cut_weight(g, a, b)
         for mask_a in range(1 << g.n):
             rest = ~mask_a & ((1 << g.n) - 1)
             mask_b = rest
@@ -133,7 +133,7 @@ def test_lovasz_indicator_identity_exhaustive():
 def test_homogeneity():
     rng = random.Random(11)
     g = gr.cycle(5)
-    cut = lambda a, b: gr.cut_weight(g, a, b)
+    cut = lambda a, b: cut_weight(g, a, b)
     for _ in range(20):
         x = vec(g, [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(5)])
         t = F(rng.randrange(-6, 7), rng.randrange(1, 5))

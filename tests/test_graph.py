@@ -12,6 +12,7 @@ from cutspec.errors import (
     ParseError,
     SelfLoop,
 )
+from theorem_checks import cut_weight, edge_cover_number, intra_weight
 
 
 def test_vol_examples():
@@ -23,15 +24,15 @@ def test_vol_examples():
 
 def test_cut_weight_examples():
     p3 = gr.path(3)
-    assert gr.cut_weight(p3, {0}, {2}) == 0
-    assert gr.cut_weight(p3, {1}, {0, 2}) == 2
+    assert cut_weight(p3, {0}, {2}) == 0
+    assert cut_weight(p3, {1}, {0, 2}) == 2
     pet = gr.petersen()
-    assert gr.cut_weight(pet, frozenset(range(5)), frozenset(range(5, 10))) == 5
+    assert cut_weight(pet, frozenset(range(5)), frozenset(range(5, 10))) == 5
 
 
 def test_cut_weight_overlap_rejected():
     with pytest.raises(OverlappingSets):
-        gr.cut_weight(gr.path(3), {0, 1}, {1, 2})
+        cut_weight(gr.path(3), {0, 1}, {1, 2})
 
 
 def test_connected_components():
@@ -81,7 +82,7 @@ def test_isolated_vertex_edge_cover():
     g = gr.Graph.build(3, [(0, 1)])
     assert gr.graph_params(g)["edge_cover"] is None
     with pytest.raises(IsolatedVertex):
-        gr.edge_cover_number(g)
+        edge_cover_number(g)
 
 
 def test_generators():
@@ -147,9 +148,9 @@ def test_handshake_on_random_graphs():
         g = gr.Graph.build(n, edges)
         s = frozenset(i for i in range(n) if rng.random() < 0.5)
         sc = g.vertices() - s
-        assert gr.cut_weight(g, s, sc) == gr.cut_weight(g, sc, s)
+        assert cut_weight(g, s, sc) == cut_weight(g, sc, s)
         # mu = degree: cut plus twice the internal weight is the volume
-        assert gr.cut_weight(g, s, sc) + 2 * gr.intra_weight(g, s) == gr.vol(g, s)
+        assert cut_weight(g, s, sc) + 2 * intra_weight(g, s) == gr.vol(g, s)
         assert gr.vol(g, s) + gr.vol(g, sc) == gr.vol(g, g.vertices())
 
 

@@ -45,6 +45,7 @@ from cutspec.graph import Graph, vol
 from cutspec.simplex import _rows_in_reach, find_feasible
 import dinkelbach_reference as ref
 from fraction_systems import System, int_system, rationals
+from theorem_checks import boundary, cut_weight
 
 ZERO = F(0)
 ONE = F(1)
@@ -129,7 +130,7 @@ def ref_subset(g, value, maximize):
     def cands():
         for s in range(1, full, 2):
             a, b = _sets(g, s), _sets(g, full ^ s)
-            num, den = value(gr.boundary(g, a), gr.vol(g, a), gr.vol(g, b))
+            num, den = value(boundary(g, a), gr.vol(g, a), gr.vol(g, b))
             if den or maximize and num:
                 yield num / den, (tuple(sorted(a)),)
 
@@ -154,8 +155,8 @@ def ref_pair(g, modified):
             if a & b or not u or not (u & -u) & a:
                 continue
             sa, sb = _sets(g, a), _sets(g, b)
-            bnd = gr.boundary(g, sa | sb) if modified else F(0)
-            num = 2 * gr.cut_weight(g, sa, sb) + bnd
+            bnd = boundary(g, sa | sb) if modified else F(0)
+            num = 2 * cut_weight(g, sa, sb) + bnd
             den = gr.vol(g, sa | sb) + bnd
             if num or den:  # a 0/0 pair lies outside the ratio's domain
                 yield num / den, (tuple(sorted(sa)), tuple(sorted(sb)))
@@ -173,7 +174,7 @@ def ref_k_way(g, k):
             pairs = list(zip(sets[::2], sets[1::2]))
             if any(not (a | b) for a, b in pairs):
                 continue
-            val = min(2 * gr.cut_weight(g, a, b) / gr.vol(g, a | b) for a, b in pairs)
+            val = min(2 * cut_weight(g, a, b) / gr.vol(g, a | b) for a, b in pairs)
             yield val, tuple(tuple(sorted(s)) for s in sets)
 
     return _argbest(cands(), maximize=True)
@@ -281,7 +282,7 @@ def _rest(g, a):
 
 def ref_cheeger_new_scan(g):
     out = ref_scan(
-        g, lambda a: gr.boundary(g, a) / min(gr.vol(g, a), gr.vol(g, _rest(g, a))), False
+        g, lambda a: boundary(g, a) / min(gr.vol(g, a), gr.vol(g, _rest(g, a))), False
     )
     if not out or out[0][0] != 0:
         out.insert(0, (F(0), tuple(range(g.n))))
@@ -290,12 +291,12 @@ def ref_cheeger_new_scan(g):
 
 REF_SCANS = {
     "maxcut_inf": lambda g: ref_scan(
-        g, lambda a: 2 * gr.boundary(g, a) / gr.vol(g, range(g.n)), True
+        g, lambda a: 2 * boundary(g, a) / gr.vol(g, range(g.n)), True
     ),
     "cheeger_new": ref_cheeger_new_scan,
     "anti_cheeger": lambda g: ref_scan(
         g,
-        lambda a: gr.boundary(g, a) / max(gr.vol(g, a), gr.vol(g, _rest(g, a)))
+        lambda a: boundary(g, a) / max(gr.vol(g, a), gr.vol(g, _rest(g, a)))
         if 0 < len(a) < g.n
         else F(0),
         True,
@@ -1091,6 +1092,64 @@ def test_lazy_mask_tables_match_mask_tables():
             (cut[m], deg[m], vol[m]) for m in masks
         ]
         assert (lazy[2][-1], lazy[3][-1]) == (deg[-1], vol[-1])
+
+
+def ref_lowest_vertex_tables(g):
+    """mask_tables(g) one mask at a time, by the lowest-vertex recurrence:
+    each mask's entries extend those of the mask without its lowest
+    vertex."""
+    d, nbrs, deg1, mu1 = gr.scaled_graph(g)
+    size = 1 << g.n
+    cut, deg, vol = [0] * size, [0] * size, [0] * size
+    for m in range(1, size):
+        low = m & -m
+        i = low.bit_length() - 1
+        prev = m ^ low
+        inner = sum(wi for bit, wi in nbrs[i] if prev & bit)
+        cut[m] = cut[prev] + deg1[i] - 2 * inner
+        deg[m] = deg[prev] + deg1[i]
+        vol[m] = vol[prev] + mu1[i]
+    return d, cut, deg, vol
+
+
+@SETTINGS
+@given(graphs(max_n=8))
+@example(gr.Graph.build(1, []))
+@example(gr.Graph.build(1, [], mu=[F(3, 2)]))
+@example(EDGELESS)
+@example(gr.Graph.build(4, [(1, 2), (2, 3)]))  # vertex 0 isolated
+@example(WEIGHTED)
+@example(gr.Graph.build(3, [(0, 1, F(2, 3)), (1, 2)], mu=[F(1, 2), F(5, 3), 2]))
+@example(ZERO_MU_PATH)
+@example(ZERO_MU)
+@example(DISCONNECTED)
+def test_block_mask_tables_match_every_reference(g):
+    """The vertex-block tables equal, entry for entry, the lowest-vertex
+    recurrence, the Fraction definitions scaled by D and the lazy tables."""
+    tables = gr.mask_tables(g)
+    assert tables == ref_lowest_vertex_tables(g)
+    d, cut, deg, vol = tables
+    assert d == math.lcm(*(w.denominator for *_, w in g.edges), *(m.denominator for m in g.mu))
+    degree = [sum((w for u, v, w in g.edges if i in (u, v)), ZERO) for i in range(g.n)]
+    for m in range(1 << g.n):
+        s = _sets(g, m)
+        assert cut[m] == d * boundary(g, s)
+        assert deg[m] == d * sum((degree[i] for i in s), ZERO)
+        assert vol[m] == d * sum((g.mu[i] for i in s), ZERO)
+    lazy = gr.lazy_mask_tables(g)
+    assert lazy[0] == d
+    assert [(lazy[1][m], lazy[2][m], lazy[3][m]) for m in range(1 << g.n)] == list(
+        zip(cut, deg, vol)
+    )
+    assert (lazy[2][-1], lazy[3][-1]) == (deg[-1], vol[-1])
+
+
+def test_mask_members_are_sorted_member_tuples():
+    for n in range(11):
+        assert gr._mask_members(n) == tuple(
+            tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)
+        )
+        assert gr.mask_members(n) == list(gr._mask_members(n))
 
 
 def test_mask_tables_small_example():

@@ -1,23 +1,54 @@
-"""Definitions only the tests use: the set-pair Lovasz extension and the
-structure checks that the acceptance battery asserts on verified
-eigenpairs.
+"""Definitions only the tests use: the Fraction cut weights over vertex
+sets (the independent reference for the integer mask tables), the edge
+cover number, the set-pair Lovasz extension and the structure checks that
+the acceptance battery asserts on verified eigenpairs.
 
 The check_* functions refuse to run without a positive verification
 verdict for x, so theorems are only asserted on actual eigenpairs.
 """
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from cutspec.eigen import EigenpairReport, verify
-from cutspec.errors import CutspecError
+from cutspec.errors import CutspecError, IsolatedVertex, OverlappingSets
 from cutspec.functionals import RVector, sup_norm
-from cutspec.graph import Graph, boundary, cut_weight, intra_weight
+from cutspec.graph import Graph, graph_params
 from cutspec.nodal import analyze
 
 
 class NotVerified(CutspecError):
     pass
+
+
+def cut_weight(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
+    """Total weight of edges with one endpoint in a and the other in b."""
+    a, b = frozenset(a), frozenset(b)
+    if a & b:
+        raise OverlappingSets(f"sets overlap on {sorted(a & b)}")
+    total = Fraction(0)
+    for u, v, w in g.edges:
+        if (u in a and v in b) or (u in b and v in a):
+            total += w
+    return total
+
+
+def boundary(g: Graph, s: Iterable[int]) -> Fraction:
+    """|∂S| = cut weight between s and its complement."""
+    s = frozenset(s)
+    return cut_weight(g, s, g.vertices() - s)
+
+
+def intra_weight(g: Graph, s: Iterable[int]) -> Fraction:
+    s = frozenset(s)
+    return sum((w for u, v, w in g.edges if u in s and v in s), Fraction(0))
+
+
+def edge_cover_number(g: Graph) -> int:
+    params = graph_params(g)
+    if params["edge_cover"] is None:
+        raise IsolatedVertex("edge cover undefined with isolated vertices")
+    return params["edge_cover"]
 
 
 def lovasz_extension(g: Graph, f: Callable, x: RVector) -> Fraction:
