@@ -2,32 +2,13 @@
 
 Each eigenproblem is one linear feasibility system in the subgradient
 selections, solved exactly over the rationals, so the verdict carries an
-exact witness whenever it is positive.  verify builds every system in
-three steps, which add their variables and rows in this order:
-
-  1. Edge selections: a symmetric z_ij in Sgn(x_i + x_j) or a difference
-     z_ij in Sgn(x_i - x_j), with w_ij z_ij in rows i and j, negated in
-     row j for a difference.  hat_signless has both: zs scaled by 1 - lam,
-     then zd scaled by -lam.
-  2. lam's term.  Sign rows put lam·mu_i·sign(x_i) on the right of row i,
-     or -lam·mu_i·v_i with a free v_i in [-1, 1] where x_i = 0.  A median
-     selection v_i in mu_i·Sgn(x_i - c) with sum v = 0, at the lowest
-     median c of x (every median gives the same feasible set), adds -lam·v_i
-     or +lam·v_i to row i.
-  3. The rows: every row equals its right side (zero but for sign rows), or
-     the sup-norm interval rows, where row i vanishes if |x_i| < ||x||_inf
-     and else equals sign(x_i)·s_i with a slack s_i in [0, b], the slacks
-     totalling b, for b = vol(V), lam·vol(V) or 2·lam·vol(V).
-
-Problem ids:
-  one_lap       difference selection, median term -lam, zero rows
-                (raw_one_lap: difference selection, sign rows)
-  signless      symmetric selection, sign rows
-  hat_signless  symmetric and difference selections, zero rows
-  cheeger_new   symmetric selection, median term +lam, interval rows, vol(V)
-  maxcut_inf    difference selection, interval rows, lam·vol(V)
-  anti_cheeger  difference selection, median term +lam, interval rows,
-                2·lam·vol(V)
+exact witness whenever it is positive.  The problem's record in
+functionals.PROBLEMS gives the system's shape (see functionals.Problem).
+verify adds the variables and rows of its edge selections, then those of
+lam's term (sign rows, or a median selection at the lowest median of x:
+every median gives the same feasible set), then the rows, zero rows or
+the sup-norm interval rows.  Its raw_one_lap puts one_lap's lam term as
+sign rows in place of the median selection.
 
 verify builds the system in ints.  It reads the signs from x put over the
 lcm of its denominators, takes the weights and measures scaled by their
@@ -65,7 +46,7 @@ from .errors import (
     ZeroMeasure,
     ZeroVector,
 )
-from .functionals import EIGENPROBLEMS, RVector, _median_interval, indicator, sup_norm
+from .functionals import EIGENPROBLEMS, RVector, _median_interval
 from .graph import (
     Graph,
     _member_order,
@@ -110,14 +91,6 @@ def _add_selection(bounds, rows, g, wts, xs, dq, symmetric, f):
         rows[v][idx] = a if symmetric else -a
 
 
-def _sup_norm_classes(x: RVector):
-    m = sup_norm(x)
-    d_plus = frozenset(i for i, t in enumerate(x) if t == m)
-    d_minus = frozenset(i for i, t in enumerate(x) if t == -m)
-    d_zero = frozenset(range(len(x))) - d_plus - d_minus
-    return m, d_plus, d_minus, d_zero
-
-
 def _witness(point, g, tags, v_of, s_of, c, total) -> dict:
     """The feasible point as named selections: z per edge under each tag,
     v and s per vertex, the median c and, for a positive slack total, the
@@ -139,18 +112,46 @@ def _witness(point, g, tags, v_of, s_of, c, total) -> dict:
 def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
     """simplex._rows_in_reach on the system that verify(id, g, p/q, 1_A - 1_B)
     builds, decided in ints from scaled = scaled_graph(g) and the masks of A
-    and B, with no system built.  Needs q > 0 and, for one_lap, a positive
-    total measure.
+    and B, with no system built.  Needs q > 0 and, for a median selection,
+    a positive total measure.  Interval rows are not tested: for them every
+    pair passes.
 
-    Row i takes w_ij·sign(x_i ± x_j) from an edge to j when that sign is
-    nonzero and the free range ±w_ij when it is zero: f is the fixed part
-    and r the free part, of the symmetric selection (sign(x_i + x_j)) and
-    of the difference selection (sign(x_i - x_j)).  Every row is scaled
-    by q and the common denominator D of scaled."""
+    The rows are read from id's record, as _system reads them.  Row i
+    takes w_ij·sign(x_i ± x_j) from an edge to j when that sign is nonzero
+    and the free range ±w_ij when it is zero: f is the fixed part and r the
+    free part, of the symmetric selection (sign(x_i + x_j)) and of the
+    difference selection (sign(x_i - x_j)).  The row is in range when
+    |sum of factor·f + lam's fixed term| <= sum of |factor|·r + lam's free
+    range.  Every row is scaled by q and the common denominator D of
+    scaled."""
+    spec = EIGENPROBLEMS[id]
+    if spec.slack_total is not None:
+        return True
     _, nbrs, deg, mu = scaled
-    ap = abs(p)
-    mass = {-1: 0, 0: 0, 1: 0}
-    diff_rows = []
+    # each selection's factor k0 + k1·p/q, times q
+    k_sym = k_diff = 0
+    for symmetric, k0, k1 in spec.selections:
+        if symmetric:
+            k_sym = k0 * q + k1 * p
+        else:
+            k_diff = k0 * q + k1 * p
+    ak_sym, ak_diff = abs(k_sym), abs(k_diff)
+    lp = spec.lam_sign * p
+    c = 0
+    if spec.median:
+        # _median_interval's lowest median c over the levels of x.  The row
+        # sum v = 0 is in range at any median: the masses above and below
+        # c, each at most half the total, differ by at most the mass at c.
+        mass = {-1: 0, 0: 0, 1: 0}
+        for i, m in enumerate(mu):
+            mass[(a >> i & 1) - (b >> i & 1)] += m
+        rest = (1 << len(mu)) - 1 & ~(a | b)
+        levels = [t for t, here in ((-1, b), (0, rest), (1, a)) if here]
+        c, _ = _median_interval(levels, [mass[t] for t in levels])
+    # lam's term lp·mu_i·u_i in row i, u_i = sign(x_i - c), or free in ±1
+    # where x_i = c: its fixed and free parts over mu_i on the levels 1, -1, 0
+    lf_a, lf_b, lf_0 = lp * (c < 1), -lp * (c > -1), -lp * c
+    lr_a, lr_b, lr_0 = abs(lp) * (c == 1), abs(lp) * (c == -1), abs(lp) * (c == 0)
     for i, m in enumerate(mu):
         wa = wb = 0
         for nb, w in nbrs[i]:
@@ -160,53 +161,24 @@ def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
                 wb += w
         wz = deg[i] - wa - wb
         if a >> i & 1:
-            t, f_sym, r_sym, f_diff, r_diff = 1, wa + wz, wb, wz + wb, wa
+            lf, lr, f_sym, r_sym, f_diff, r_diff = lf_a, lr_a, wa + wz, wb, wz + wb, wa
         elif b >> i & 1:
-            t, f_sym, r_sym, f_diff, r_diff = -1, -wb - wz, wa, -wz - wa, wb
+            lf, lr, f_sym, r_sym, f_diff, r_diff = lf_b, lr_b, -wb - wz, wa, -wz - wa, wb
         else:
-            t, f_sym, r_sym, f_diff, r_diff = 0, wa - wb, wz, wb - wa, wz
-        if id == "signless":
-            # rhs λ·μ_i·x_i; where x_i = 0 a slack ±λ·μ_i takes its place
-            if abs(p * m * t - q * f_sym) > q * r_sym + (0 if t else ap * m):
-                return False
-        elif id == "hat_signless":
-            # (1 - λ)·symmetric - λ·difference selection = 0
-            if abs((q - p) * f_sym - p * f_diff) > abs(q - p) * r_sym + ap * r_diff:
-                return False
-        else:
-            mass[t] += m
-            diff_rows.append((t, f_diff, r_diff, m))
-    if id != "one_lap":
-        return True
-    # _add_median_selection's c: the lowest level of x with at most half
-    # the mass on either side
-    full = (1 << len(mu)) - 1
-    total = sum(mass.values())
-    below = 0
-    for c, here in ((-1, b), (0, full & ~(a | b)), (1, a)):
-        if here:
-            if 2 * below <= total and 2 * (total - below - mass[c]) <= total:
-                break
-            below += mass[c]
-    # v_i = μ_i·s_i for s_i = sign(x_i - c) ≠ 0, else free in ±μ_i;
-    # the row Σv = 0, then the rows difference selection - λ·v_i = 0
-    sgn = {t: (t > c) - (t < c) for t in mass}
-    if abs(sum(sgn[t] * m for t, m in mass.items())) > sum(
-        m for t, m in mass.items() if not sgn[t]
-    ):
-        return False
-    return all(
-        abs(q * f - p * sgn[t] * m) <= q * r + (0 if sgn[t] else ap * m)
-        for t, f, r, m in diff_rows
-    )
+            lf, lr, f_sym, r_sym, f_diff, r_diff = lf_0, lr_0, wa - wb, wz, wb - wa, wz
+        if abs(k_sym * f_sym + k_diff * f_diff + lf * m) > (
+            ak_sym * r_sym + ak_diff * r_diff + lr * m
+        ):
+            return False
+    return True
 
 
 def verify(
     id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
 ) -> EigenpairReport:
     """Decide whether (lam, x) solves the selected eigenproblem exactly: build
-    its system in ints, as the module docstring lists, and find a feasible
-    point."""
+    its system in ints, as the module docstring describes, and find a
+    feasible point."""
     if all(t == 0 for t in x):
         raise ZeroVector("candidate eigenvector is zero")
     lam = Fraction(lam)
@@ -244,35 +216,36 @@ def _verdict(id: str, g: Graph, p: int, q: int, xs: list) -> bool:
 
 def _system(id, g, p, q, xs, raw_one_lap):
     """verify's system for lam = p/q (q > 0) and the nonzero int vector xs
-    that has x's signs and levels: find_feasible's (den, bounds, rows), and
-    the witness's naming (tags, v_of, s_of, med, bound), med the lowest
-    median of xs and bound the slack total over den, each None where the
-    system has none."""
+    that has x's signs and levels, built from id's record in
+    functionals.PROBLEMS: find_feasible's (den, bounds, rows), and the
+    witness's naming (tags, v_of, s_of, med, bound), med the lowest median
+    of xs and bound the slack total over den, each None where the system
+    has none."""
+    spec = EIGENPROBLEMS[id]
     d, wts, mu = _scaled_weights(g)
     dq = d * q
     bounds = []
     rows = [{} for _ in range(g.n)]
     rhs = [0] * g.n
     eqs = []
-    if id == "hat_signless":
-        tags = ("zs", "zd")
-        _add_selection(bounds, rows, g, wts, xs, dq, True, q - p)
-        _add_selection(bounds, rows, g, wts, xs, dq, False, -p)
-    else:
-        tags = ("z",)
-        _add_selection(bounds, rows, g, wts, xs, dq, id in ("signless", "cheeger_new"), q)
+    sels = spec.selections
+    tags = ("z",) if len(sels) == 1 else tuple("zs" if sym else "zd" for sym, _, _ in sels)
+    for symmetric, k0, k1 in sels:
+        _add_selection(bounds, rows, g, wts, xs, dq, symmetric, k0 * q + k1 * p)
+    median = spec.median and not (raw_one_lap and id == "one_lap")
     med = None
     v_of = ()  # the vertex of each v variable
-    if id == "signless" or id == "one_lap" and raw_one_lap:
-        # lam·mu_i·sign(x_i) on the right, or -lam·mu_i·v_i, v_i in [-1, 1]
+    if spec.lam_sign and not median:
+        # -lam_sign·lam·mu_i·sign(x_i) on the right, or lam_sign·lam·mu_i·v_i,
+        # v_i in [-1, 1]
         v_of = [i for i in range(g.n) if not xs[i]]
         for i in range(g.n):
             if xs[i]:
-                rhs[i] = p * mu[i] * _sign(xs[i])
+                rhs[i] = -spec.lam_sign * p * mu[i] * _sign(xs[i])
             else:
-                rows[i][len(bounds)] = -p * mu[i]
+                rows[i][len(bounds)] = spec.lam_sign * p * mu[i]
                 bounds.append((-dq, dq))
-    elif id in ("one_lap", "cheeger_new", "anti_cheeger"):
+    elif median:
         # v_i in mu_i·Sgn(x_i - c), box over dq, and sum v = 0, at the
         # lowest median c.  No other median needs a system.  The levels
         # strictly between the median interval's ends lo < hi carry zero
@@ -283,7 +256,7 @@ def _system(id, g, p, q, xs, raw_one_lap):
         # feasible set of c = lo.
         med, _ = _median_interval(xs, mu)
         v_of = range(g.n)
-        term = -p * d if id == "one_lap" else p * d
+        term = spec.lam_sign * p * d
         zero_row = {}
         for i in range(g.n):
             s, mq = _sign(xs[i] - med), mu[i] * q
@@ -293,9 +266,10 @@ def _system(id, g, p, q, xs, raw_one_lap):
         eqs.append((zero_row, 0, 1))
     bound = None
     s_of = ()  # the vertex of each slack s
-    if id in ("cheeger_new", "maxcut_inf", "anti_cheeger"):
-        # slacks in [0, bound] for bound = vol(V)·(1, lam or 2·lam), over dq
-        bound = sum(mu) * (q if id == "cheeger_new" else p if id == "maxcut_inf" else 2 * p)
+    if spec.slack_total is not None:
+        # slacks in [0, bound] for bound = vol(V)·(k0 + k1·lam), over dq
+        k0, k1 = spec.slack_total
+        bound = sum(mu) * (k0 * q + k1 * p)
         top = max(abs(t) for t in xs)
         s_of = [i for i in range(g.n) if abs(xs[i]) == top]
         total_row = {}
@@ -312,18 +286,6 @@ def _system(id, g, p, q, xs, raw_one_lap):
     if bound is not None:
         eqs.append((total_row, bound, dq))
     return (dq, bounds, eqs), (tags, v_of, s_of, med, bound)
-
-
-def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector:
-    """Canonical indicator vector induced by x for the given problem."""
-    if all(t == 0 for t in x):
-        raise ZeroVector("cannot binarize the zero vector")
-    _, d_plus, d_minus, _ = _sup_norm_classes(x)
-    if variant == "pm":
-        return indicator(g, d_plus, d_minus)
-    if id in ("maxcut_inf", "anti_cheeger"):
-        return indicator(g, d_plus, frozenset(range(g.n)) - d_plus)
-    return tuple(Fraction(_sign(t)) for t in x)
 
 
 def _scan_subset_family(g, ratio, include_trivial):

@@ -29,10 +29,6 @@ class IsolatedVertex(CutspecError):
     pass
 
 
-class OverlappingSets(CutspecError):
-    pass
-
-
 class Disconnected(CutspecError):
     pass
 

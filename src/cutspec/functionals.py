@@ -24,13 +24,6 @@ from .graph import Graph, parse_rational
 RVector = tuple
 
 
-def as_rvector(g: Graph, values) -> RVector:
-    x = tuple(Fraction(v) for v in values)
-    if len(x) != g.n:
-        raise ParseError(f"vector has length {len(x)}, expected {g.n}")
-    return x
-
-
 def indicator(g: Graph, a, b=()) -> RVector:
     """Ternary vector 1_A - 1_B."""
     a, b = frozenset(a), frozenset(b)
@@ -69,7 +62,8 @@ def median_interval(g: Graph, x: RVector):
 
 def _median_interval(x, mu):
     """median_interval for values x and masses mu, Fractions or ints alike
-    (eigen.verify passes both scaled to ints)."""
+    (eigen.verify passes both scaled to ints; the scans' row-range test
+    passes the levels of a ternary vector and their masses)."""
     total = sum(mu)
     if total == 0:
         raise ZeroMeasure("total vertex measure is zero")
@@ -109,7 +103,19 @@ class Problem:
     md, and the ints vol_v and two_e, all scaled by the same D of
     graph.mask_tables) to the lists of the ratio's numerators and
     denominators at 1_A - 1_B over the columns' pairs.  It builds only the
-    columns it reads, each once."""
+    columns it reads, each once.
+
+    selections, lam_sign, median and slack_total give the eigenproblem's
+    linear system, which eigen.verify builds and the ternary scans'
+    row-range test reads; a factor (k0, k1) is k0 + k1·lam.  Row i sums
+    factor·w_ij·z_ij over the edges ij for each (symmetric, k0, k1) in
+    selections, z_ij in Sgn(x_i + x_j) when symmetric, else in
+    Sgn(x_i - x_j) and negated in row j; and, unless lam_sign is 0,
+    lam_sign·lam·mu_i·u_i with u_i in Sgn(x_i - c): with median, c is the
+    lowest median of x and sum mu_i·u_i = 0, else c = 0 (the sign rows).
+    Row i is 0 if slack_total is None; else it is 0 where
+    |x_i| < ||x||_inf and sign(x_i)·s_i elsewhere, with slacks s_i >= 0
+    that total vol(V) times the factor slack_total."""
 
     ratio: str
     eigen: str
@@ -118,6 +124,10 @@ class Problem:
     opt: str  # min | max
     domain_kind: str  # nonzero | nonconstant_2cut
     ternary: Callable
+    selections: tuple
+    lam_sign: int = 0
+    median: bool = False
+    slack_total: tuple | None = None
 
 
 def _mdual_form(c):
@@ -130,30 +140,36 @@ def _mdual_form(c):
 PROBLEMS = {
     p.ratio: p
     for p in (
-        # ratio, eigen, oracle, dual, opt, domain_kind, then ternary
+        # ratio, eigen, oracle, dual, opt, domain_kind, ternary, then the system
         Problem(
             "cheeger_tv", "one_lap", "cheeger", False, "min", "nonconstant_2cut",
             lambda c: (c.tv(), c.md()),
+            ((False, 1, 0),), lam_sign=-1, median=True,
         ),
         Problem(
             "cheeger_new", "cheeger_new", "cheeger", False, "min", "nonconstant_2cut",
             lambda c: ([c.two_e - t for t in c.tv_plus()], c.md()),
+            ((True, 1, 0),), lam_sign=1, median=True, slack_total=(1, 0),
         ),
         Problem(
             "dual", "signless", "dual_cheeger", True, "min", "nonzero",
             lambda c: (c.tv_plus(), c.vol_u()),
+            ((True, 1, 0),), lam_sign=-1,
         ),
         Problem(
             "mdual", "hat_signless", "modified_dual_cheeger", True, "min", "nonzero",
             _mdual_form,
+            ((True, 1, -1), (False, 0, -1)),
         ),
         Problem(
             "maxcut_ratio", "maxcut_inf", "maxcut", False, "max", "nonzero",
             lambda c: (c.tv(), [c.vol_v] * len(c.pairs)),
+            ((False, 1, 0),), slack_total=(0, 1),
         ),
         Problem(
             "anti", "anti_cheeger", "anti_cheeger", False, "max", "nonzero",
             lambda c: (c.tv(), [2 * c.vol_v - m for m in c.md()]),
+            ((False, 1, 0),), lam_sign=1, median=True, slack_total=(0, 2),
         ),
     )
 }
@@ -208,7 +224,3 @@ def parse_rvector(g: Graph, text: str) -> RVector:
             raise ParseError(f"vertex {i} out of range", line=lineno)
         vals[i] = parse_rational(parts[1])
     return tuple(vals.get(i, Fraction(0)) for i in range(g.n))
-
-
-def emit_rvector(x: RVector) -> str:
-    return "\n".join(f"{i} {v}" for i, v in enumerate(x) if v != 0) + "\n"

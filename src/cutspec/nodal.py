@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ZeroVector
-from .eigen import _sup_norm_classes
-from .functionals import RVector
+from .functionals import RVector, sup_norm
 from .graph import Graph, connected_components
 
 
@@ -34,9 +33,14 @@ class NodalReport:
     Sprime: int
     N_nonsingleton: int
 
-    def split(self, domain: frozenset):
-        """A_i / B_i split of a sup-norm component by D+/D- membership."""
-        return domain & self.d_plus, domain & self.d_minus
+
+def _sup_norm_classes(x: RVector):
+    """||x||_inf and the extreme-value sets D+, D- and D0 of x."""
+    m = sup_norm(x)
+    d_plus = frozenset(i for i, t in enumerate(x) if t == m)
+    d_minus = frozenset(i for i, t in enumerate(x) if t == -m)
+    d_zero = frozenset(range(len(x))) - d_plus - d_minus
+    return m, d_plus, d_minus, d_zero
 
 
 def analyze(g: Graph, x: RVector, convention: str = "sign_based") -> NodalReport:

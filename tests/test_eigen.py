@@ -8,10 +8,11 @@ from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
 from cutspec.errors import UnknownProblem, ZeroVector
+from theorem_checks import as_rvector, binarize
 
 
 def vec(g, vals):
-    return fn.as_rvector(g, vals)
+    return as_rvector(g, vals)
 
 
 def test_kernel_and_rejection():
@@ -77,12 +78,12 @@ def test_rayleigh_consistency():
 def test_binarize():
     p4 = gr.path(4)
     x = vec(p4, [2, 1, 0, -2])
-    assert eg.binarize("one_lap", p4, x) == (1, 1, 0, -1)
-    assert eg.binarize("one_lap", p4, x, variant="pm") == (1, 0, 0, -1)
+    assert binarize("one_lap", p4, x) == (1, 1, 0, -1)
+    assert binarize("one_lap", p4, x, variant="pm") == (1, 0, 0, -1)
     # sup-norm problems send non-extreme vertices to the complement side
-    assert eg.binarize("maxcut_inf", p4, x) == (1, -1, -1, -1)
+    assert binarize("maxcut_inf", p4, x) == (1, -1, -1, -1)
     with pytest.raises(ZeroVector):
-        eg.binarize("one_lap", p4, vec(p4, [0, 0, 0, 0]))
+        binarize("one_lap", p4, vec(p4, [0, 0, 0, 0]))
 
 
 def test_scan_examples():

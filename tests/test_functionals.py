@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec.errors import DegenerateDenominator, UnknownProblem
-from theorem_checks import cut_weight, lovasz_extension
+from theorem_checks import as_rvector, cut_weight, emit_rvector, lovasz_extension
 
 
 def vec(g, vals):
-    return fn.as_rvector(g, vals)
+    return as_rvector(g, vals)
 
 
 def test_tv_examples():
@@ -204,5 +204,5 @@ def test_ratio_objective_unknown_id():
 def test_rvector_file_roundtrip():
     g = gr.path(4)
     x = vec(g, [1, 0, F(-1, 3), 0])
-    assert fn.parse_rvector(g, fn.emit_rvector(x)) == x
+    assert fn.parse_rvector(g, emit_rvector(x)) == x
     assert fn.parse_rvector(g, "0 2\n") == (2, 0, 0, 0)

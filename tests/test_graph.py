@@ -8,11 +8,10 @@ from cutspec.errors import (
     BadK,
     IsolatedVertex,
     NegativeWeight,
-    OverlappingSets,
     ParseError,
     SelfLoop,
 )
-from theorem_checks import cut_weight, edge_cover_number, intra_weight
+from theorem_checks import OverlappingSets, cut_weight, edge_cover_number, intra_weight
 
 
 def test_vol_examples():

@@ -30,7 +30,7 @@ from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
-from cutspec.eigen import EigenpairReport, _sign, _sup_norm_classes
+from cutspec.eigen import EigenpairReport, _sign
 from cutspec.errors import (
     BadK,
     CutspecError,
@@ -42,10 +42,11 @@ from cutspec.errors import (
 )
 from cutspec.functionals import RVector
 from cutspec.graph import Graph, vol
+from cutspec.nodal import _sup_norm_classes
 from cutspec.simplex import _rows_in_reach, find_feasible
 import dinkelbach_reference as ref
 from fraction_systems import System, int_system, rationals
-from theorem_checks import boundary, cut_weight
+from theorem_checks import as_rvector, boundary, cut_weight
 
 ZERO = F(0)
 ONE = F(1)
@@ -744,6 +745,17 @@ def ref_verify(
 @example(ZERO_MU_PATH, F(1, 2))
 @example(WEIGHTED, F(2, 3))
 @example(DISCONNECTED, F(-1, 3))
+# hat_signless's symmetric factor 1 - lam is 0 at lam = 1 and negative at
+# lam = 3/2; at lam = -1/2 the lam terms change sign.  On path(4), the pair
+# ({0, 1}, {2, 3}) at lam = 3/2 is in range only with |1 - lam| as its free
+# factor.
+@example(WEIGHTED, F(1))
+@example(WEIGHTED, F(3, 2))
+@example(WEIGHTED, F(-1, 2))
+@example(ZERO_MU_PATH, F(1))
+@example(ZERO_MU_PATH, F(3, 2))
+@example(ZERO_MU_PATH, F(-1, 2))
+@example(gr.path(4), F(3, 2))
 def test_row_range_test_matches_built_systems(g, off):
     """The scan's integer row test is the simplex's row-interval test on
     the systems verify builds, at the ratio value of each ternary pair, at
@@ -843,7 +855,7 @@ def ref_verify_with_midpoint(sid, g, lam, x):
 def test_median_endpoints_decide_as_with_midpoint(g, vals, off):
     """Dropping the midpoint median system changes no verdict and no
     witness: its box lies inside the lower endpoint's."""
-    x = fn.as_rvector(g, vals[: g.n])
+    x = as_rvector(g, vals[: g.n])
     for sid in ("one_lap", "cheeger_new", "maxcut_inf", "anti_cheeger"):
         lams = {F(0), off}
         try:

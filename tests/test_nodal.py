@@ -7,11 +7,17 @@ from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import nodal as nd
 from cutspec.errors import ZeroVector
-from theorem_checks import NotVerified, check_max_eigvec_structure, check_null_symmetry
+from theorem_checks import (
+    NotVerified,
+    as_rvector,
+    check_max_eigvec_structure,
+    check_null_symmetry,
+    split,
+)
 
 
 def vec(g, vals):
-    return fn.as_rvector(g, vals)
+    return as_rvector(g, vals)
 
 
 def test_conventions_on_path3():
@@ -56,7 +62,7 @@ def test_star_triangle_extreme_vector():
     assert rep.Sprime == 2
     assert rep.d_zero == {4} and rep.null_domains == [{4}]
     assert rep.N_nonsingleton == 0
-    a, b = rep.split(rep.pm_domains[0])
+    a, b = split(rep, rep.pm_domains[0])
     assert a | b == rep.pm_domains[0]
 
 
@@ -65,7 +71,7 @@ def test_split_by_membership():
     x = vec(c4, [1, -1, 1, -1])
     rep = nd.analyze(c4, x, "sup_norm_based")
     assert rep.Sprime == 1
-    a, b = rep.split(rep.pm_domains[0])
+    a, b = split(rep, rep.pm_domains[0])
     assert a == {0, 2} and b == {1, 3}
 
 

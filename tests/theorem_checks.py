@@ -1,7 +1,8 @@
 """Definitions only the tests use: the Fraction cut weights over vertex
 sets (the independent reference for the integer mask tables), the edge
-cover number, the set-pair Lovasz extension and the structure checks that
-the acceptance battery asserts on verified eigenpairs.
+cover number, the set-pair Lovasz extension, vector helpers and the
+structure checks that the acceptance battery asserts on verified
+eigenpairs.
 
 The check_* functions refuse to run without a positive verification
 verdict for x, so theorems are only asserted on actual eigenpairs.
@@ -10,15 +11,47 @@ verdict for x, so theorems are only asserted on actual eigenpairs.
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from cutspec.eigen import EigenpairReport, verify
-from cutspec.errors import CutspecError, IsolatedVertex, OverlappingSets
-from cutspec.functionals import RVector, sup_norm
+from cutspec.eigen import EigenpairReport, _sign, verify
+from cutspec.errors import CutspecError, IsolatedVertex, ParseError, ZeroVector
+from cutspec.functionals import RVector, indicator, sup_norm
 from cutspec.graph import Graph, graph_params
-from cutspec.nodal import analyze
+from cutspec.nodal import NodalReport, _sup_norm_classes, analyze
 
 
 class NotVerified(CutspecError):
     pass
+
+
+class OverlappingSets(CutspecError):
+    pass
+
+
+def as_rvector(g: Graph, values) -> RVector:
+    x = tuple(Fraction(v) for v in values)
+    if len(x) != g.n:
+        raise ParseError(f"vector has length {len(x)}, expected {g.n}")
+    return x
+
+
+def emit_rvector(x: RVector) -> str:
+    return "\n".join(f"{i} {v}" for i, v in enumerate(x) if v != 0) + "\n"
+
+
+def binarize(id: str, g: Graph, x: RVector, variant: str = "default") -> RVector:
+    """Canonical indicator vector induced by x for the given problem."""
+    if all(t == 0 for t in x):
+        raise ZeroVector("cannot binarize the zero vector")
+    _, d_plus, d_minus, _ = _sup_norm_classes(x)
+    if variant == "pm":
+        return indicator(g, d_plus, d_minus)
+    if id in ("maxcut_inf", "anti_cheeger"):
+        return indicator(g, d_plus, frozenset(range(g.n)) - d_plus)
+    return tuple(Fraction(_sign(t)) for t in x)
+
+
+def split(rep: NodalReport, domain: frozenset):
+    """A_i / B_i split of a sup-norm component by D+/D- membership."""
+    return domain & rep.d_plus, domain & rep.d_minus
 
 
 def cut_weight(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
@@ -103,7 +136,7 @@ def check_max_eigvec_structure(
     _require_verified(verified, x)
     rep = analyze(g, x, "sup_norm_based")
     out = {}
-    splits = [rep.split(d) for d in rep.pm_domains]
+    splits = [split(rep, d) for d in rep.pm_domains]
     out["boundary_balance"] = all(
         boundary(g, a) == boundary(g, b) for a, b in splits
     )
