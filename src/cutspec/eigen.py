@@ -18,6 +18,15 @@ over 1).  As rationals each row is the row these steps describe, so the
 simplex takes the same pivots and returns the same point.  Variable names
 and Fractions are built only for a returned witness.
 
+A record with difference selections only and zero rows (one_lap's) is a
+circulation on G: each selection is a flow on the arc u -> v, lam's term
+a flow on an arc from each vertex to a hub node, and the hub's balance is
+the row sum v = 0 (see _circulates).  Its verdict is decided by integer
+max-flow (flow.circulation_exists), with no simplex call; verify runs the
+simplex only after a positive verdict, to build the witness.  The records
+with a symmetric selection or sup-norm slack rows are decided by the
+simplex.
+
 The ternary scans enumerate one pair per mirror class {(A, B), (B, A)},
 the one that comes first in certificate order
 (graph._ternary_representatives).  The two have one value, and one
@@ -29,9 +38,10 @@ its certificate (V, ∅) is not the representative of its class, and the
 scan puts it back at its own place in certificate order.  A scan first
 runs the simplex's row-range test in integers, from the signs of the
 candidate 1_A - 1_B and the scaled weights, measures and eigenvalue,
-without building a system; only the candidates it passes get verify's
-system and the simplex, which stop at the verdict: no Fraction point and
-no witness.
+without building a system; only the candidates it passes are decided, by
+the flow or by verify's system and the simplex, which stop at the
+verdict: no Fraction point and no witness.  The scan's constant vector
+is decided the same way.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .errors import (
     ZeroMeasure,
     ZeroVector,
 )
+from .flow import circulation_exists
 from .functionals import EIGENPROBLEMS, RVector, _median_interval
 from .graph import (
     Graph,
@@ -176,9 +187,10 @@ def _rows_in_range(id: str, scaled, a: int, b: int, p: int, q: int) -> bool:
 def verify(
     id: str, g: Graph, lam: Fraction, x: RVector, raw_one_lap: bool = False
 ) -> EigenpairReport:
-    """Decide whether (lam, x) solves the selected eigenproblem exactly: build
-    its system in ints, as the module docstring describes, and find a
-    feasible point."""
+    """Decide whether (lam, x) solves the selected eigenproblem exactly, as
+    the module docstring describes: by a circulation where the record
+    allows one, and by the simplex on its system in ints otherwise or for
+    the witness of a positive verdict."""
     if all(t == 0 for t in x):
         raise ZeroVector("candidate eigenvector is zero")
     lam = Fraction(lam)
@@ -189,10 +201,15 @@ def verify(
     for t in x:
         den = lcm(den, t.denominator)
     xs = [t.numerator * (den // t.denominator) for t in x]
-    system, (tags, v_of, s_of, med, bound) = _system(
-        id, g, lam.numerator, lam.denominator, xs, raw_one_lap
-    )
-    point = find_feasible(*system)
+    p, q = lam.numerator, lam.denominator
+    spec = EIGENPROBLEMS[id]
+    if _flow_decides(spec) and not _circulates(
+        spec, g, p, q, xs, _median_term(id, raw_one_lap)
+    ):
+        point = None
+    else:
+        system, (tags, v_of, s_of, med, bound) = _system(id, g, p, q, xs, raw_one_lap)
+        point = find_feasible(*system)
     if point is None:
         return EigenpairReport(
             verdict=False, lam=lam, x=x, violated="no feasible selection"
@@ -210,8 +227,58 @@ def verify(
 def _verdict(id: str, g: Graph, p: int, q: int, xs: list) -> bool:
     """verify(id, g, p/q, x).verdict for the int vector xs of x's levels,
     with no point or witness built: what the scans read."""
+    spec = EIGENPROBLEMS[id]
+    if _flow_decides(spec):
+        return _circulates(spec, g, p, q, xs, spec.median)
     system, _ = _system(id, g, p, q, xs, False)
     return _feasible_point(*system) is not None
+
+
+def _flow_decides(spec) -> bool:
+    """Whether the record's system is a circulation on G: difference
+    selections only, and zero rows."""
+    return spec.slack_total is None and not any(sym for sym, _, _ in spec.selections)
+
+
+def _median_term(id, raw_one_lap) -> bool:
+    """Whether lam's term is a median selection: as the record says, except
+    one_lap's under raw_one_lap, which takes sign rows."""
+    return EIGENPROBLEMS[id].median and not (raw_one_lap and id == "one_lap")
+
+
+def _circulates(spec, g, p, q, xs, median) -> bool:
+    """Whether the system of a record that _flow_decides has a feasible
+    point at lam = p/q (q > 0) and the int vector xs, decided as a
+    circulation on the vertices of g and a hub node n, in ints.  Each
+    difference selection (k0, k1) puts the flow f·W_uv·z_uv on an arc
+    u -> v, for f = k0·q + k1·p, the scaled weight W and z_uv in
+    Sgn(x_u - x_v); lam's term puts lam_sign·p·mu_i·u_i on an arc i -> hub,
+    for the scaled measure mu and u_i in Sgn(x_i - c), with c the lowest
+    median of xs when median, else 0.  Row i of _system, times D·q, is the
+    balance at i.  The hub's balance, sum of lam_sign·p·mu_i·u_i = 0, is
+    the sum of the rows, so it adds nothing: with median it is the row sum
+    v = 0 when p != 0, and for p = 0 that row holds at any median by itself
+    (see _rows_in_range)."""
+    _, wts, mu = _scaled_weights(g)
+    c = _median_interval(xs, mu)[0] if median else 0
+    arcs = []
+    for _, k0, k1 in spec.selections:
+        f = k0 * q + k1 * p
+        for (u, v, _), wt in zip(g.edges, wts):
+            arcs.append((u, v, *_times_sgn(f * wt, xs[u] - xs[v])))
+    term = spec.lam_sign * p
+    if term:
+        for i, m in enumerate(mu):
+            arcs.append((i, g.n, *_times_sgn(term * m, xs[i] - c)))
+    return circulation_exists(g.n + 1, arcs)
+
+
+def _times_sgn(a: int, t) -> tuple:
+    """a·Sgn(t) as an int interval (lo, hi)."""
+    if t:
+        a = a if t > 0 else -a
+        return a, a
+    return -abs(a), abs(a)
 
 
 def _system(id, g, p, q, xs, raw_one_lap):
@@ -232,7 +299,7 @@ def _system(id, g, p, q, xs, raw_one_lap):
     tags = ("z",) if len(sels) == 1 else tuple("zs" if sym else "zd" for sym, _, _ in sels)
     for symmetric, k0, k1 in sels:
         _add_selection(bounds, rows, g, wts, xs, dq, symmetric, k0 * q + k1 * p)
-    median = spec.median and not (raw_one_lap and id == "one_lap")
+    median = _median_term(id, raw_one_lap)
     med = None
     v_of = ()  # the vertex of each v variable
     if spec.lam_sign and not median:

@@ -211,8 +211,8 @@ def inequality_suite(g: Graph) -> List[InequalityReport]:
 def kway_nodal_reports(g: Graph) -> List[InequalityReport]:
     """Lower half of the k-way bound on scanned ternary eigenpairs: an
     eigenvalue c whose eigenvector has m support domains obeys
-    1 - h_m+ <= c, reported for each m the k-way oracle accepts.  The
-    oracle runs once per distinct m."""
+    1 - h_m+ <= c, reported for each m the k-way oracle accepts and decided
+    exactly.  The oracle runs once per distinct m."""
     out = []
     h_plus = {}  # m -> h_m+, or None where the k-way oracle refuses m
     for value, cert in spectrum_scan("signless", g):
@@ -226,15 +226,16 @@ def kway_nodal_reports(g: Graph) -> List[InequalityReport]:
         hm = h_plus[m]
         if hm is None:
             continue
-        out.append(
-            _report(
-                f"kway_lower_m{m}",
-                float(1 - hm),
-                float(value),
-                float("inf"),
-                {"m": m, "eigenvalue": str(value)},
-            )
+        rep = _report(
+            f"kway_lower_m{m}",
+            float(1 - hm),
+            float(value),
+            float("inf"),
+            {"m": m, "eigenvalue": str(value)},
         )
+        # both sides are rationals: decided exactly, the floats only shown
+        rep.holds = 1 - hm <= value
+        out.append(rep)
     return out
 
 

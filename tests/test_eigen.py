@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from cutspec import cli
 from cutspec import eigen as eg
 from cutspec import functionals as fn
 from cutspec import graph as gr
 from cutspec import oracles as orc
 from cutspec.errors import UnknownProblem, ZeroVector
 from theorem_checks import as_rvector, binarize
+
+CORPUS = Path(__file__).parent.parent / "corpus"
 
 
 def vec(g, vals):
@@ -129,6 +133,61 @@ def test_ternary_scans_read_verdicts_only(small_corpus, monkeypatch):
     assert [eg.spectrum_scan(sid, g) for g in graphs for sid in ids] == want
     with pytest.raises(AssertionError):
         eg.verify("signless", gr.path(2), F(0), vec(gr.path(2), [1, -1]))
+
+
+def refuse(*args):
+    raise AssertionError("called")
+
+
+# what the README's verify one_lap lines print, median and --raw
+README_VERIFY_ONE_LAP = {
+    (): '{"lambda": "1/3", "verdict": true, "violated": "", "witness": {"c_x": "-1", '
+    '"s": {}, "v": {"0": "1", "1": "2", "2": "-2", "3": "-1"}, '
+    '"z": {"z": {"0,1": "1/3", "1,2": "1", "2,3": "1/3"}}}}\n',
+    ("--raw",): '{"lambda": "1/3", "verdict": true, "violated": "", "witness": {"s": {}, '
+    '"v": {}, "z": {"z": {"0,1": "1/3", "1,2": "1", "2,3": "1/3"}}}}\n',
+}
+
+
+def test_one_lap_decided_by_flow_not_the_simplex(small_corpus, monkeypatch, tmp_path, capsys):
+    """one_lap scans, and verify's negative one_lap verdicts, make no
+    simplex call: with the simplex made to raise they return what the
+    simplex path returns.  A positive verify runs the simplex once, for
+    its witness, and prints the README's bytes."""
+    graphs = [g for _, g in sorted(small_corpus.items())]
+    with monkeypatch.context() as m:
+        m.setattr(eg, "_flow_decides", lambda spec: False)
+        want = [eg.spectrum_scan("one_lap", g) for g in graphs]
+    calls = []
+    real = eg.find_feasible
+    monkeypatch.setattr(eg, "find_feasible", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(eg, "_feasible_point", refuse)
+    assert [eg.spectrum_scan("one_lap", g) for g in graphs] == want
+    p4 = gr.path(4)
+    for raw in (False, True):
+        for lam, vals in ((F(1, 2), [1, 1, -1, -1]), (F(1, 3), [1, 0, 0, -1])):
+            assert not eg.verify("one_lap", p4, lam, vec(p4, vals), raw).verdict
+    assert calls == []
+    x_txt = tmp_path / "x.txt"
+    x_txt.write_text("0 1\n1 1\n2 -1\n3 -1\n")
+    path4 = CORPUS / "path4.txt"
+    for raw, printed in README_VERIFY_ONE_LAP.items():
+        args = ["verify", "one_lap", "--graph", str(path4), "--lambda", "1/3"]
+        assert cli.main([*args, "--vector", str(x_txt), *raw]) == 0
+        assert capsys.readouterr().out == printed
+    assert len(calls) == 2
+
+
+def test_signless_scans_stay_on_the_simplex(small_corpus, monkeypatch):
+    """signless and hat_signless, whose selections are symmetric, are not
+    decided by the flow: with it made to raise they scan as before."""
+    graphs = [g for _, g in sorted(small_corpus.items()) if g.n <= 6]
+    ids = ("signless", "hat_signless")
+    want = [eg.spectrum_scan(sid, g) for g in graphs for sid in ids]
+    monkeypatch.setattr(eg, "_circulates", refuse)
+    assert [eg.spectrum_scan(sid, g) for g in graphs for sid in ids] == want
+    with pytest.raises(AssertionError):
+        eg.spectrum_scan("one_lap", gr.path(2))
 
 
 def test_ternary_scans_test_one_pair_per_mirror_class(small_corpus, monkeypatch):

@@ -557,10 +557,14 @@ def test_minmax_k_cut_matches_reference(gk, require_partition):
 
 def built_systems(sid, g, lam, x, verify=eg.verify, raw_one_lap=False):
     """find_feasible's (den, bounds, rows) of every system verify builds for
-    (lam, x), each recorded and reported infeasible."""
+    (lam, x), each recorded and reported infeasible.  The simplex path is
+    taken for every record, one_lap's too, which verify otherwise decides
+    by a flow before it builds a system."""
     systems = []
     record = lambda *system: systems.append(system)
-    with mock.patch.object(eg, "find_feasible", record):
+    with mock.patch.object(eg, "find_feasible", record), mock.patch.object(
+        eg, "_flow_decides", lambda spec: False
+    ):
         verify(sid, g, lam, x, raw_one_lap=raw_one_lap)
     return systems
 

@@ -122,6 +122,29 @@ def test_kway_nodal_reports():
             assert rep.holds, (rep.name, rep.lhs, rep.mid)
 
 
+@pytest.mark.parametrize(
+    "name, eigenvalue",
+    [
+        ("cycle5.txt", F(1, 5)),
+        ("random8a.txt", F(1, 11)),
+        ("random8b.txt", F(2, 7)),
+        ("complete4.txt", F(1, 3)),
+        ("cycle4.txt", F(0)),
+    ],
+)
+def test_kway_nodal_equality_decided_exactly(corpus, monkeypatch, name, eigenvalue):
+    """At an eigenvalue c = 1 - h_1+ the report holds on the rationals, not
+    through TOL: with TOL below zero, where the float test fails it, it
+    still holds."""
+    g = corpus[name]
+    assert 1 - sp.oracles.k_way_dual_cheeger(g, 1).value == eigenvalue
+    monkeypatch.setattr(sp, "TOL", -1e-12)
+    (rep,) = [
+        r for r in sp.kway_nodal_reports(g) if r.detail == {"m": 1, "eigenvalue": str(eigenvalue)}
+    ]
+    assert rep.lhs == rep.mid and rep.holds
+
+
 def _kway_nodal_reports_per_eigenvalue(g):
     """kway_nodal_reports with one k-way oracle call per scanned eigenvalue:
     the reference for the one call per m."""
